@@ -48,6 +48,7 @@ from .invariants import (
     FibreData,
     LauferSteenbrink,
     ObstructionReport,
+    adjunction_system,
     canonical_class,
     chi_resolution,
     determinant,
@@ -77,6 +78,7 @@ from .synthesis import (
     blow_down,
     chain_mults,
     normalize_edge_signs,
+    reduce_tree,
     strip_decorations,
     synth_plumbing,
     verify_balance,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InputError, PlumbingError
 from .graphs import (
@@ -28,21 +27,14 @@ from .graphs import (
     ResolutionGraph,
     WaldhausenGraph,
 )
-from .invariants import (
-    canonical_class,
-    chi_resolution,
-    determinant,
-    is_num_gorenstein,
-    k_squared,
-    negative_definite,
-)
+from .invariants import adjunction_system, chi_resolution, is_num_gorenstein, k_squared
 from .nielsen import build_nielsen
 from .pipeline import StageError, run_pipeline
 from .power import power_nielsen
 from .report import render_graph_text, render_json_dict, render_text
 from .resolve import parse_resolution, subtract_and_normalize
 from .serialize import frac_str, from_json, to_dot, to_json
-from .synthesis import blow_down, normalize_edge_signs, strip_decorations, synth_plumbing
+from .synthesis import reduce_tree, strip_decorations, synth_plumbing
 from .waldhausen import nielsen_to_waldhausen
 
 
@@ -128,8 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--side", choices=("fg", "f", "g"), default="fg")
     p.add_argument("--keep-arrows", action="store_true")
     p.add_argument("--blow-down", action="store_true")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for batch inputs")
     return parser
 
 
@@ -158,9 +148,7 @@ def _cmd_plumbing(args) -> str:
     w = _load(args.input, WaldhausenGraph, "plumbing")
     tree = synth_plumbing(w, keep_arrows=args.keep_arrows)
     if args.blow_down:
-        if tree.is_tree():
-            tree = normalize_edge_signs(tree)
-        tree = blow_down(tree)
+        tree = reduce_tree(tree)
     return _graph_output(tree, args.format)
 
 
@@ -168,18 +156,17 @@ def _cmd_invariants(args) -> str:
     tree = _load(args.input, PlumbingTree, "invariants")
     tree = strip_decorations(tree, keep_mults=True)
     if args.blow_down:
-        if tree.is_tree():
-            tree = normalize_edge_signs(tree)
-        tree = blow_down(tree)
-    K = canonical_class(tree)
+        tree = reduce_tree(tree)
+    form = adjunction_system(tree)
+    K = form.solution
     data = {
         "schema": "susplink/invariants:1",
         "K": [frac_str(k) for k in K],
         "K_squared": frac_str(k_squared(tree, K)),
         "numerically_gorenstein": is_num_gorenstein(K),
         "chi_resolution": chi_resolution(tree),
-        "determinant": determinant(tree),
-        "negative_definite": negative_definite(tree),
+        "determinant": form.determinant,
+        "negative_definite": form.negative_definite,
     }
     if args.format == "json":
         return json.dumps(data, indent=2) + "\n"
@@ -202,13 +189,8 @@ def _run_one_pipeline(path: str, args) -> str:
 def _cmd_pipeline(args) -> str:
     if len(args.inputs) == 1:
         return _run_one_pipeline(args.inputs[0], args)
-    jobs = max(1, args.jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outputs = list(pool.map(lambda p: _run_one_pipeline(p, args), args.inputs))
-    chunks = []
-    for path, text in zip(args.inputs, outputs):
-        chunks.append(f"== {path}\n{text}")
-    return "".join(chunks)
+    return "".join(f"== {path}\n{_run_one_pipeline(path, args)}"
+                   for path in args.inputs)
 
 
 _COMMANDS = {

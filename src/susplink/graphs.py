@@ -124,12 +124,6 @@ class PlumbingTree:
     def ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices)
 
-    def vertex(self, vid: int) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
     def is_tree(self) -> bool:
         return _is_tree(self.ids, [(e.u, e.v) for e in self.edges])
 
@@ -223,14 +217,9 @@ class ResolutionGraph:
 
     def __post_init__(self):
         ids = _ids(self.vertices)
+        _check_endpoints(ids, [Edge(u, v) for u, v in self.edges], self.arrows)
         check_tree(ids, self.edges, "resolution graph")
-        known = set(ids)
-        for u, v in self.edges:
-            if u == v:
-                raise InputError("self-loop edge", elements=(u,))
         for a in self.arrows:
-            if a.vertex not in known:
-                raise InputError("arrow on unknown vertex", elements=(a.vertex,))
             if a.side not in ("f", "g"):
                 raise InputError(f"arrow side must be f or g, got {a.side!r}")
             if (a.side == "f" and a.mult != 1) or (a.side == "g" and a.mult != -1):
@@ -248,12 +237,6 @@ class ResolutionGraph:
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices)
-
-    def vertex(self, vid: int) -> ResVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
 
     def has_multiplicities(self) -> bool:
         return bool(self.vertices) and self.vertices[0].mf is not None
@@ -295,8 +278,8 @@ class MultPlumbing:
 
     def __post_init__(self):
         ids = _ids(self.vertices)
-        check_tree(ids, [(e.u, e.v) for e in self.edges], "multiplicity tree")
         _check_endpoints(ids, self.edges, self.arrows)
+        check_tree(ids, [(e.u, e.v) for e in self.edges], "multiplicity tree")
         for v in self.vertices:
             if v.m < 0:
                 raise InputError("multiplicities must be >= 0 after normalization",
@@ -559,9 +542,3 @@ class WaldhausenGraph:
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices)
-
-    def vertex(self, vid: int) -> WaldVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)

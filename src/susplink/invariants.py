@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MonodromyError, PlumbingError
-from .exactlinalg import determinant as _det, is_negative_definite, solve_exact
-from .graphs import MultPlumbing, PlumbingTree, adjacency, intersection_matrix
+from .exactlinalg import Elimination, eliminate
+from .graphs import MultPlumbing, PlumbingTree, adjacency
 
 __all__ = [
+    "adjunction_system",
     "canonical_class",
     "is_num_gorenstein",
     "k_squared",
@@ -37,16 +38,24 @@ __all__ = [
 ]
 
 
-def canonical_class(tree: PlumbingTree) -> list[Fraction]:
-    """Solution K of the adjunction system A*K = d with
-    d_v = -b_v - 2 + 2*g_v, in the order of ``tree.vertices``."""
-    matrix = intersection_matrix(tree)
-    d = [-v.weight - 2 + 2 * v.genus for v in tree.vertices]
+def adjunction_system(tree: PlumbingTree) -> Elimination:
+    """One elimination of the adjunction system A*K = d with
+    d_v = -b_v - 2 + 2*g_v: its solution is the canonical class K, in the
+    order of ``tree.vertices``, and it also gives det A and definiteness."""
     try:
-        return solve_exact(matrix, d)
+        return eliminate(tree, _adjunction_rhs(tree))
     except MonodromyError as exc:
         raise MonodromyError(
             "canonical class undefined: singular intersection matrix") from exc
+
+
+def _adjunction_rhs(tree: PlumbingTree) -> list[int]:
+    return [-v.weight - 2 + 2 * v.genus for v in tree.vertices]
+
+
+def canonical_class(tree: PlumbingTree) -> list[Fraction]:
+    """Solution K of the adjunction system A*K = d."""
+    return adjunction_system(tree).solution
 
 
 def is_num_gorenstein(K) -> bool:
@@ -54,13 +63,8 @@ def is_num_gorenstein(K) -> bool:
 
 
 def k_squared(tree: PlumbingTree, K) -> Fraction:
-    """K^T A K, evaluated exactly."""
-    matrix = intersection_matrix(tree)
-    K = [Fraction(k) for k in K]
-    return sum(
-        K[i] * sum(Fraction(matrix[i][j]) * K[j] for j in range(len(K)))
-        for i in range(len(K))
-    )
+    """K^T A K = K.d for the canonical class K of ``tree``, as A*K = d."""
+    return sum((k * d for k, d in zip(K, _adjunction_rhs(tree))), Fraction(0))
 
 
 def chi_resolution(tree: PlumbingTree) -> int:
@@ -121,20 +125,23 @@ class LauferSteenbrink:
 def laufer_steenbrink(tree: PlumbingTree, chi_fibre_F: int) -> LauferSteenbrink:
     """Mod-12 smoothing congruence; inapplicable when K is not integral."""
     K = canonical_class(tree)
+    return _congruence(K, chi_resolution(tree) + k_squared(tree, K), chi_fibre_F)
+
+
+def _congruence(K, right_raw: Fraction, chi_fibre_F: int) -> LauferSteenbrink:
     if not is_num_gorenstein(K):
         return LauferSteenbrink(False, None, None, None)
-    right_raw = chi_resolution(tree) + k_squared(tree, K)
     left = chi_fibre_F % 12
     right = int(right_raw) % 12
     return LauferSteenbrink(True, left, right, left == right)
 
 
 def determinant(tree: PlumbingTree) -> int:
-    return _det(intersection_matrix(tree))
+    return eliminate(tree).determinant
 
 
 def negative_definite(tree: PlumbingTree) -> bool:
-    return is_negative_definite(intersection_matrix(tree))
+    return eliminate(tree).negative_definite
 
 
 @dataclass(frozen=True)
@@ -168,11 +175,12 @@ def obstruction_report(mp: MultPlumbing, tree: PlumbingTree, r: int,
     adjunction system); the suspension fibre chi uses the join formula with
     the same r that produced the tree.
     """
-    K = canonical_class(tree)
+    form = adjunction_system(tree)
+    K = form.solution
     ksq = k_squared(tree, K)
     fibre = fibre_euler(mp)
     chi_F = join_euler(fibre.chi, r)
-    ls = laufer_steenbrink(tree, chi_F)
+    ls = _congruence(K, chi_resolution(tree) + ksq, chi_F)
     product = fibre_euler(product_mp) if product_mp is not None else None
     return ObstructionReport(
         K=tuple(K),
@@ -188,8 +196,8 @@ def obstruction_report(mp: MultPlumbing, tree: PlumbingTree, r: int,
         ls_left=ls.left,
         ls_right=ls.right,
         ls_congruent=ls.congruent,
-        negative_definite=negative_definite(tree),
-        determinant=determinant(tree),
+        negative_definite=form.negative_definite,
+        determinant=form.determinant,
         product_chi=product.chi if product else None,
         product_genus=product.genus if product else None,
         product_boundary=product.boundary if product else None,

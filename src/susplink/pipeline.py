@@ -27,7 +27,7 @@ from .resolve import (
     product_multiplicity_tree,
     subtract_and_normalize,
 )
-from .synthesis import blow_down, normalize_edge_signs, strip_decorations, synth_plumbing
+from .synthesis import reduce_tree, strip_decorations, synth_plumbing
 from .waldhausen import nielsen_to_waldhausen
 
 __all__ = ["PipelineResult", "run_pipeline", "StageError"]
@@ -93,7 +93,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
     tree = tree_full if keep_arrows else strip_decorations(tree_full, keep_mults=True)
     reduced = None
     if reduce:
-        reduced = _stage("blowdown")(_reduce, tree)
+        reduced = _stage("blowdown")(reduce_tree, tree)
     product_mp = None
     if side == "fg" and graph.arrows:
         try:
@@ -128,10 +128,3 @@ def _empty_chain_notes(mp: MultPlumbing) -> tuple[str, ...]:
         "gluing data alpha = 1"
         for c in decompose(mp).edge_chains if not c.vertices
     )
-
-
-def _reduce(tree: PlumbingTree) -> PlumbingTree:
-    working = tree
-    if working.is_tree():
-        working = normalize_edge_signs(working)
-    return blow_down(working)

@@ -17,16 +17,17 @@ from __future__ import annotations
 import shlex
 
 from .errors import FibrednessError, InputError, MonodromyError
-from .exactlinalg import solve_exact
+from .exactlinalg import eliminate
 from .graphs import (
     Arrow,
     Edge,
     MultPlumbing,
     MultVertex,
+    PlumbingTree,
     ResArrow,
     ResolutionGraph,
     ResVertex,
-    intersection_matrix,
+    Vertex,
 )
 
 _SIDES = ("fg", "f", "g")
@@ -132,30 +133,28 @@ def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
     """
     if side not in ("f", "g"):
         raise InputError(f"side must be f or g, got {side!r}")
-    matrix = intersection_matrix(_as_plumbing(graph))
     b = arrow_counts(graph, side)
     if graph.has_multiplicities():
         given = [v.mf if side == "f" else v.mg for v in graph.vertices]
-        residual = [
-            sum(matrix[i][j] * given[j] for j in range(len(given))) + b[i]
-            for i in range(len(given))
-        ]
+        index = {vid: i for i, vid in enumerate(graph.ids)}
+        residual = [v.weight * m + c for v, m, c in zip(graph.vertices, given, b)]
+        for u, v in graph.edges:
+            residual[index[u]] += given[index[v]]
+            residual[index[v]] += given[index[u]]
         bad = [graph.vertices[i].id for i, r in enumerate(residual) if r != 0]
         if bad:
             raise MonodromyError(
                 f"inconsistent arrow data: supplied side-{side} multiplicities "
                 f"do not solve the monodromical system", elements=tuple(bad))
         return list(given)
-    solution = solve_exact(matrix, [-x for x in b])
+    solution = eliminate(_as_plumbing(graph), [-x for x in b]).solution
     if any(x.denominator != 1 for x in solution):
         raise MonodromyError(
             f"inconsistent arrow data: side-{side} system has a non-integer solution")
     return [int(x) for x in solution]
 
 
-def _as_plumbing(graph: ResolutionGraph):
-    from .graphs import PlumbingTree, Vertex
-
+def _as_plumbing(graph: ResolutionGraph) -> PlumbingTree:
     return PlumbingTree(
         vertices=tuple(Vertex(v.id, v.weight, v.genus) for v in graph.vertices),
         edges=tuple(Edge(u, v) for u, v in graph.edges),

@@ -10,6 +10,7 @@ symmetric representative so figures can be matched by eye.
 from __future__ import annotations
 
 import json
+from dataclasses import MISSING, fields
 from fractions import Fraction
 
 from .errors import InputError
@@ -48,10 +49,6 @@ SCHEMAS = {
 def frac_str(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s) -> Fraction:
-    return Fraction(s)
 
 
 # ---------------------------------------------------------------------------
@@ -146,63 +143,82 @@ def to_json(graph, indent: int | None = 2) -> str:
 # from dict
 # ---------------------------------------------------------------------------
 
+_JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,),
+               "str": (str,)}
+
+
+def _objects(data: dict, key: str, required: bool = False) -> list:
+    items = data.get(key, None if required else [])
+    if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
+        raise InputError(f"field {key!r} must be a list of objects")
+    return items
+
+
+def _elements(cls, items: list, **defaults) -> tuple:
+    """Graph elements from JSON objects keyed by the fields of ``cls``;
+    InputError when a field without default is missing or holds a value
+    of another type."""
+    spec = [(f.name, defaults.get(f.name, f.default), f.type) for f in fields(cls)]
+    elements = []
+    for item in items:
+        values = []
+        for name, default, kind in spec:
+            value = item.get(name, default)
+            if value is MISSING:
+                raise InputError(f"missing field {name!r} in {item}")
+            if kind == "Fraction":
+                try:
+                    value = Fraction(value)
+                except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+                    raise InputError(f"field {name!r} must be a fraction in {item}") from None
+            elif type(value) not in _JSON_TYPES[kind]:
+                raise InputError(f"field {name!r} must be {kind} in {item}")
+            values.append(value)
+        elements.append(cls(*values))
+    return tuple(elements)
+
+
 def from_dict(data: dict):
+    if not isinstance(data, dict):
+        raise InputError("expected a JSON object")
     schema = data.get("schema")
     if schema == SCHEMAS[ResolutionGraph]:
+        edges = data.get("edges")
+        if not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+                for e in edges):
+            raise InputError("field 'edges' must be a list of [u, v] vertex id pairs")
         return ResolutionGraph(
-            tuple(ResVertex(v["id"], v["weight"], v.get("genus", 0),
-                            v.get("mf"), v.get("mg"))
-                  for v in data["vertices"]),
-            tuple((u, v) for u, v in data["edges"]),
-            tuple(ResArrow(a["vertex"], a["side"],
-                           a.get("mult", 1 if a["side"] == "f" else -1))
-                  for a in data.get("arrows", ())),
+            _elements(ResVertex, _objects(data, "vertices", True)),
+            tuple((u, v) for u, v in edges),
+            _elements(ResArrow, [{"mult": 1 if a.get("side") == "f" else -1, **a}
+                                 for a in _objects(data, "arrows")]),
         )
     if schema == SCHEMAS[MultPlumbing]:
         return MultPlumbing(
-            tuple(MultVertex(v["id"], v["weight"], v.get("genus", 0),
-                             v["m"], v.get("flipped", False))
-                  for v in data["vertices"]),
-            tuple(Edge(e["u"], e["v"], e.get("sign", 1)) for e in data["edges"]),
-            tuple(Arrow(a["vertex"], a.get("mult", 1))
-                  for a in data.get("arrows", ())),
+            _elements(MultVertex, _objects(data, "vertices", True), genus=0, flipped=False),
+            _elements(Edge, _objects(data, "edges", True)),
+            _elements(Arrow, _objects(data, "arrows")),
         )
     if schema == SCHEMAS[NielsenGraph]:
         return NielsenGraph(
-            tuple(NielsenVertex(v["id"], v["order"], v.get("genus", 0),
-                                v.get("q", 1))
-                  for v in data["vertices"]),
-            tuple(Stalk(s["vertex"], s["lam"], s["sigma"])
-                  for s in data.get("stalks", ())),
-            tuple(BoundaryStalk(b["vertex"], b["lam"], b["sigma"],
-                                parse_frac(b["twist"]))
-                  for b in data.get("boundary_stalks", ())),
-            tuple(NielsenEdge(e["u"], e["v"], parse_frac(e["twist"]),
-                              e["lam_u"], e["sigma_u"], e["lam_v"], e["sigma_v"])
-                  for e in data.get("edges", ())),
+            _elements(NielsenVertex, _objects(data, "vertices", True), genus=0),
+            _elements(Stalk, _objects(data, "stalks")),
+            _elements(BoundaryStalk, _objects(data, "boundary_stalks")),
+            _elements(NielsenEdge, _objects(data, "edges")),
         )
     if schema == SCHEMAS[WaldhausenGraph]:
         return WaldhausenGraph(
-            tuple(WaldVertex(v["id"], v["e"], v.get("genus", 0), v.get("q", 1),
-                             v.get("order", 1))
-                  for v in data["vertices"]),
-            tuple(WaldStalk(s["vertex"], s["alpha"], s["beta"])
-                  for s in data.get("stalks", ())),
-            tuple(WaldArrow(a["vertex"], a["alpha"], a["beta"])
-                  for a in data.get("arrows", ())),
-            tuple(WaldEdge(e["u"], e["v"], e["eps"], e["alpha"],
-                           e["beta_u"], e["beta_v"])
-                  for e in data.get("edges", ())),
+            _elements(WaldVertex, _objects(data, "vertices", True), genus=0),
+            _elements(WaldStalk, _objects(data, "stalks")),
+            _elements(WaldArrow, _objects(data, "arrows")),
+            _elements(WaldEdge, _objects(data, "edges")),
         )
     if schema == SCHEMAS[PlumbingTree]:
         return PlumbingTree(
-            tuple(Vertex(v["id"], v["weight"], v.get("genus", 0),
-                         v.get("mult"), v.get("flipped", False),
-                         v.get("origin", ""))
-                  for v in data["vertices"]),
-            tuple(Edge(e["u"], e["v"], e.get("sign", 1)) for e in data["edges"]),
-            tuple(Arrow(a["vertex"], a.get("mult", 1), a.get("label", ""))
-                  for a in data.get("arrows", ())),
+            _elements(Vertex, _objects(data, "vertices", True)),
+            _elements(Edge, _objects(data, "edges", True)),
+            _elements(Arrow, _objects(data, "arrows")),
         )
     raise InputError(f"unknown or missing schema {schema!r}")
 

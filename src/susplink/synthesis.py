@@ -20,19 +20,11 @@ from fractions import Fraction
 
 from .contfrac import cf_dual, neg_cf_eval, neg_cf_expand
 from .errors import BalanceError, NotATreeError, UnsupportedError
-from .exactlinalg import determinant, solve_exact
-from .graphs import (
-    Arrow,
-    Edge,
-    PlumbingTree,
-    Vertex,
-    WaldhausenGraph,
-    adjacency,
-    intersection_matrix,
-)
+from .exactlinalg import eliminate
+from .graphs import Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, adjacency
 
 __all__ = ["chain_mults", "synth_plumbing", "blow_down", "normalize_edge_signs",
-           "strip_decorations", "verify_balance"]
+           "reduce_tree", "strip_decorations", "verify_balance"]
 
 
 def chain_mults(weights, left_mult: int, right_mult: int | None = None,
@@ -49,20 +41,12 @@ def chain_mults(weights, left_mult: int, right_mult: int | None = None,
     if right_mult is not None and arrow_mult is not None:
         raise ValueError("a chain end is either a vertex or an arrow, not both")
     k = len(weights)
-    matrix = [[0] * k for _ in range(k)]
-    rhs: list[int] = [0] * k
-    for i, w in enumerate(weights):
-        matrix[i][i] = w
-        if i > 0:
-            matrix[i][i - 1] = 1
-        if i + 1 < k:
-            matrix[i][i + 1] = 1
+    path = PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights)),
+                        tuple(Edge(i, i + 1) for i in range(k - 1)))
+    rhs = [0] * k
     rhs[0] -= left_mult
-    if right_mult is not None:
-        rhs[-1] -= right_mult
-    if arrow_mult is not None:
-        rhs[-1] -= arrow_mult
-    solution = solve_exact(matrix, rhs)
+    rhs[-1] -= (right_mult or 0) + (arrow_mult or 0)
+    solution = eliminate(path, rhs).solution
     if any(x.denominator != 1 for x in solution):
         raise BalanceError(
             f"monodromical balance failure: chain {list(weights)} with end data "
@@ -219,8 +203,8 @@ def verify_balance(tree: PlumbingTree) -> None:
     for i, v in enumerate(tree.vertices):
         residual[i] = v.weight * (v.mult or 0)
     for e in tree.edges:
-        residual[index[e.u]] += tree.vertex(e.v).mult or 0
-        residual[index[e.v]] += tree.vertex(e.u).mult or 0
+        residual[index[e.u]] += tree.vertices[index[e.v]].mult or 0
+        residual[index[e.v]] += tree.vertices[index[e.u]].mult or 0
     for a in tree.arrows:
         residual[index[a.vertex]] += a.mult
     bad = [tree.vertices[i].id for i in range(n) if residual[i] != 0]
@@ -250,17 +234,24 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
     vertex is never removed.
     """
     current = tree
+    det = abs(eliminate(current).determinant)
     while True:
         candidate = _blow_down_candidate(current)
         if candidate is None:
             return current
-        before = abs(determinant(intersection_matrix(current)))
         current = _blow_down_once(current, candidate)
-        after = abs(determinant(intersection_matrix(current)))
-        if before != after:
+        after = abs(eliminate(current).determinant)
+        if after != det:
             raise BalanceError(
-                f"blow-down changed |det| from {before} to {after}",
+                f"blow-down changed |det| from {det} to {after}",
                 elements=(candidate,))
+
+
+def reduce_tree(tree: PlumbingTree) -> PlumbingTree:
+    """Blow ``tree`` down, normalizing its edge signs first when it is a tree."""
+    if tree.is_tree():
+        tree = normalize_edge_signs(tree)
+    return blow_down(tree)
 
 
 def _blow_down_candidate(tree: PlumbingTree) -> int | None:

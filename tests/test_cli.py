@@ -91,11 +91,28 @@ def test_wrong_stage_input_is_rejected(tmp_path, capsys):
     assert "expected NielsenGraph" in err
 
 
-def test_batch_pipeline_with_jobs(capsys):
+def test_batch_pipeline(capsys):
     code, out, _ = run_cli(capsys, "pipeline", str(DATA / "ex1.txt"),
-                           str(DATA / "ex2.txt"), "-r", "2", "--jobs", "2")
+                           str(DATA / "ex2.txt"), "-r", "2")
     assert code == 0
     assert out.count("== ") == 2
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("invariants", {"schema": "susplink/plumbing:1", "vertices": [{"id": 1}],
+                    "edges": []}),
+    ("invariants", {"schema": "susplink/plumbing:1",
+                    "vertices": [{"id": 1, "weight": "x"}], "edges": []}),
+    ("plumbing", {"schema": "susplink/waldhausen:1", "vertices": [{"id": 1, "e": -1}],
+                  "stalks": [{"vertex": 1, "alpha": 2}]}),
+], ids=["no_weight", "weight_x", "stalk_no_beta"])
+def test_malformed_stage_document(tmp_path, capsys, command, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error [{command}] ")
 
 
 def test_side_flag(capsys):

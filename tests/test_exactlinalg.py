@@ -3,8 +3,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from dense_linalg import determinant, is_negative_definite, leading_minors, solve_exact
 from susplink.errors import MonodromyError
-from susplink.exactlinalg import determinant, is_negative_definite, leading_minors, solve_exact
+from susplink.exactlinalg import eliminate
+from susplink.graphs import Edge, PlumbingTree, Vertex, intersection_matrix
+from susplink.invariants import canonical_class
 
 
 def laplace_det(m):
@@ -78,3 +81,60 @@ def definiteness_oracle(m):
 def test_definiteness_matches_oracle(m):
     sym = [[m[i][j] + m[j][i] for j in range(len(m))] for i in range(len(m))]
     assert is_negative_definite(sym) == definiteness_oracle(sym)
+
+
+# -- the sparse elimination against the dense reference ----------------------
+
+@st.composite
+def plumbing_forms(draw):
+    """Random trees, plus extra edges (cycles and parallel edges) and edges
+    doubled with the opposite sign, so that they cancel; zero weights are
+    frequent enough to reach the 2x2 pivots."""
+    n = draw(st.integers(1, 7))
+    weights = draw(st.lists(st.sampled_from((-3, -2, -1, 0, 0, 1)),
+                            min_size=n, max_size=n))
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    if n > 1:
+        pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda p: p[0] != p[1]), max_size=4))
+    edges = [Edge(u, v, draw(st.sampled_from((1, -1)))) for u, v in pairs]
+    cancel = draw(st.sets(st.integers(0, max(len(edges) - 1, 0))))
+    edges += [Edge(e.u, e.v, -e.sign) for i, e in enumerate(edges) if i in cancel]
+    return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights)), tuple(edges))
+
+
+@given(plumbing_forms(), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
+def test_elimination_matches_dense_reference(tree, rhs):
+    matrix = intersection_matrix(tree)
+    rhs = rhs[:len(matrix)]
+    form = eliminate(tree)
+    assert form.determinant == determinant(matrix)
+    assert form.negative_definite == is_negative_definite(matrix)
+    assert form.solution is None
+    if form.determinant == 0:
+        with pytest.raises(MonodromyError):
+            eliminate(tree, rhs)
+    else:
+        assert eliminate(tree, rhs).solution == solve_exact(matrix, rhs)
+
+
+def test_elimination_chain_with_two_minus_one_vertices():
+    tree = PlumbingTree((Vertex(1, -1), Vertex(2, -1), Vertex(3, -2)),
+                        (Edge(1, 2), Edge(2, 3)))
+    form = eliminate(tree)
+    assert (form.determinant, form.negative_definite) == (1, False)
+
+
+def test_elimination_2x2_pivot():
+    tree = PlumbingTree((Vertex(1, 0), Vertex(2, 0)), (Edge(1, 2),))
+    form = eliminate(tree, [2, 3])
+    assert (form.determinant, form.negative_definite) == (-1, False)
+    assert form.solution == [3, 2]
+
+
+def test_elimination_singular_form():
+    tree = PlumbingTree((Vertex(1, 0),))
+    form = eliminate(tree)
+    assert (form.determinant, form.negative_definite) == (0, False)
+    with pytest.raises(MonodromyError, match="canonical class undefined"):
+        canonical_class(tree)

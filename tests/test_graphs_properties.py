@@ -13,7 +13,7 @@ from susplink.graphs import (
 from susplink.invariants import fibre_euler
 from susplink.resolve import normalize_signed, signed_mults, subtract_and_normalize
 from susplink.synthesis import blow_down, normalize_edge_signs
-from susplink.exactlinalg import determinant
+from dense_linalg import determinant
 
 big = st.integers(min_value=-(2 ** 128), max_value=2 ** 128)
 nonzero = big.filter(lambda x: x != 0)

@@ -34,6 +34,8 @@ def test_parse_errors():
         parse_resolution("vertex 1 weight=-2\nvortex 2 weight=-2\n")
     with pytest.raises(InputError):
         parse_resolution("vertex 1 weight=-2\narrow 5 side=f\n")
+    with pytest.raises(InputError, match="unknown vertex"):
+        parse_resolution("vertex 1 weight=-2\nvertex 2 weight=-2\nedge 1 9\n")
     with pytest.raises(InputError):
         parse_resolution("vertex 1 weight=-2\nvertex 1 weight=-3\n")
     with pytest.raises(InputError, match="mult"):

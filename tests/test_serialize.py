@@ -82,3 +82,18 @@ def test_malformed_json_is_rejected():
         from_json("{not json")
     with pytest.raises(InputError, match="schema"):
         from_json('{"schema": "susplink/unknown:9"}')
+    for doc, message in (
+        ('[1, 2]', "JSON object"),
+        ('{"schema": "susplink/plumbing:1", "vertices": 3, "edges": []}', "'vertices'"),
+        ('{"schema": "susplink/plumbing:1", "vertices": [{"id": 1, "weight": -2,'
+         ' "flipped": "no"}], "edges": []}', "'flipped' must be bool"),
+        ('{"schema": "susplink/nielsen:1", "vertices": [{"id": 1, "order": 2}],'
+         ' "boundary_stalks": [{"vertex": 1, "lam": 2, "sigma": 1, "twist": "1/0"}]}',
+         "'twist' must be a fraction"),
+        ('{"schema": "susplink/multiplicity:1", "vertices": [{"id": 1, "weight": -1,'
+         ' "m": 1}], "edges": [{"u": 1, "v": 9}]}', "unknown vertex"),
+        ('{"schema": "susplink/resolution:1", "vertices": [{"id": 1, "weight": -1}],'
+         ' "edges": [[1]]}', "pairs"),
+    ):
+        with pytest.raises(InputError, match=message):
+            from_json(doc)

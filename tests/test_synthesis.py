@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
 from susplink.errors import BalanceError, NotATreeError
-from susplink.exactlinalg import determinant
+from susplink import synthesis
 from susplink.graphs import Edge, PlumbingTree, Vertex, intersection_matrix
 from susplink.nielsen import build_nielsen
 from susplink.power import power_nielsen
@@ -16,6 +18,7 @@ from susplink.synthesis import (
     verify_balance,
 )
 from susplink.waldhausen import nielsen_to_waldhausen
+from dense_linalg import determinant
 
 
 def tree_of(graph, r, keep_arrows=True):
@@ -151,6 +154,28 @@ def test_blow_down_valence_one():
     tree = PlumbingTree((Vertex(1, -1), Vertex(2, -3)), (Edge(1, 2),))
     reduced = blow_down(tree)
     assert [(v.id, v.weight) for v in reduced.vertices] == [(2, -2)]
+
+
+def test_blow_down_checks_every_step(monkeypatch):
+    """A step that breaks |det| is caught, not only the first one."""
+    real = synthesis._blow_down_once
+    steps = []
+
+    def corrupted(tree, vid):
+        out = real(tree, vid)
+        steps.append(vid)
+        if len(steps) == 2:
+            first = out.vertices[0]
+            out = PlumbingTree((replace(first, weight=first.weight - 1),)
+                               + out.vertices[1:], out.edges, out.arrows)
+        return out
+
+    monkeypatch.setattr(synthesis, "_blow_down_once", corrupted)
+    tree = PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate([-1, -2, -2, -2], 1)),
+                        (Edge(1, 2), Edge(2, 3), Edge(3, 4)))
+    with pytest.raises(BalanceError, match=r"changed \|det\| from 1 to 3"):
+        blow_down(tree)
+    assert steps == [1, 2]
 
 
 @st.composite
