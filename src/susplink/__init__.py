@@ -61,7 +61,7 @@ from .invariants import (
     obstruction_report,
     wedge_count,
 )
-from .nielsen import Decomposition, EdgeChain, StalkChain, build_nielsen, decompose, nielsen_isomorphic
+from .nielsen import Decomposition, EdgeChain, StalkChain, build_nielsen, decompose
 from .pipeline import PipelineResult, StageError, run_pipeline
 from .power import power_nielsen, valency_formula_notes
 from .resolve import (

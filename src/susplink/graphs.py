@@ -12,6 +12,12 @@ All types are immutable value objects; passes are pure functions.  Vertex ids
 are the small integers assigned at parse time and are preserved through the
 passes wherever a vertex survives, so reports can be matched against input
 figures vertex by vertex.
+
+``unbalanced`` is the one statement of the monodromical balance
+
+    weight_v * m_v + sum(sign_e * m_neighbour) + sum(arrow mults) = 0 ,
+
+which every pass that checks or solves multiplicities reads from.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "WaldEdge",
     "WaldhausenGraph",
     "intersection_matrix",
+    "unbalanced",
     "adjacency",
     "check_tree",
     "multiplicity_to_plumbing",
@@ -186,6 +193,19 @@ def intersection_matrix(tree: PlumbingTree) -> list[list[int]]:
     return m
 
 
+def unbalanced(graph, mults) -> tuple[int, ...]:
+    """Ids, in vertex order, of the vertices of ``graph`` (vertices with
+    ``weight``, signed edges, arrows with ``mult``) where the multiplicities
+    ``mults`` (id -> m) break the monodromical balance."""
+    residual = {v.id: v.weight * mults[v.id] for v in graph.vertices}
+    for e in graph.edges:
+        residual[e.u] += e.sign * mults[e.v]
+        residual[e.v] += e.sign * mults[e.u]
+    for a in graph.arrows:
+        residual[a.vertex] += a.mult
+    return tuple(i for i, r in residual.items() if r)
+
+
 # ---------------------------------------------------------------------------
 # Resolution input
 # ---------------------------------------------------------------------------
@@ -297,12 +317,6 @@ class MultPlumbing:
     def ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices)
 
-    def vertex(self, vid: int) -> MultVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
-
     def node_ids(self) -> tuple[int, ...]:
         return node_ids(self.ids, [(e.u, e.v) for e in self.edges],
                         [a.vertex for a in self.arrows],
@@ -387,14 +401,16 @@ class NielsenGraph:
 
     def __post_init__(self):
         ids = _ids(self.vertices)
-        known = set(ids)
         order = {v.id: v.order for v in self.vertices}
+        # sum of sigma/lam per vertex; its integrality does not depend on
+        # the representative choice
+        euler = {i: Fraction(0) for i in ids}
         for v in self.vertices:
             if v.order < 1 or v.q < 1 or v.genus < 0:
                 raise InputError("order and q must be >= 1, genus >= 0",
                                  elements=(v.id,))
-        for vid, lam, sigma in self._incidences():
-            if vid not in known:
+        for vid, lam, sigma in self.incidences():
+            if vid not in euler:
                 raise InputError("incidence on unknown vertex", elements=(vid,))
             if lam < 1:
                 raise InputError("valency lam must be >= 1", elements=(vid,))
@@ -410,6 +426,7 @@ class NielsenGraph:
                 raise InputError(
                     f"sigma = {sigma} is not invertible mod lam = {lam}",
                     elements=(vid,))
+            euler[vid] += Fraction(sigma, lam)
         for b in self.boundary_stalks:
             if b.twist == 0:
                 raise InputError("boundary-stalk twist must be nonzero",
@@ -421,41 +438,27 @@ class NielsenGraph:
                 raise InputError(
                     "edge orbit counts disagree: m_u/lam_u != m_v/lam_v",
                     elements=(e.u, e.v))
-        for v in self.vertices:
-            e = self.euler_class_sum(v.id)
-            if e.denominator != 1:
+        for vid, total in euler.items():
+            if total.denominator != 1:
                 raise InputError(
-                    f"sum of sigma/lam at vertex {v.id} is {e}, not an integer",
-                    elements=(v.id,))
+                    f"sum of sigma/lam at vertex {vid} is {total}, not an integer",
+                    elements=(vid,))
 
-    def _incidences(self):
+    def incidences(self):
+        """Every valency as (vertex, lam, sigma): stalks, boundary stalks,
+        then the u ends and the v ends of the edges."""
         for s in self.stalks:
             yield s.vertex, s.lam, s.sigma
         for b in self.boundary_stalks:
             yield b.vertex, b.lam, b.sigma
         for e in self.edges:
             yield e.u, e.lam_u, e.sigma_u
+        for e in self.edges:
             yield e.v, e.lam_v, e.sigma_v
-
-    def incidences_at(self, vid: int) -> list[tuple[int, int]]:
-        """All (lam, sigma) valencies at one vertex, stalks first."""
-        return [(lam, sigma) for v, lam, sigma in self._incidences() if v == vid]
-
-    def euler_class_sum(self, vid: int) -> Fraction:
-        """Sum of sigma/lam over all incidences; its integrality is
-        independent of the representative choice."""
-        return sum((Fraction(s, l) for l, s in self.incidences_at(vid)),
-                   Fraction(0))
 
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(v.id for v in self.vertices)
-
-    def vertex(self, vid: int) -> NielsenVertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(vid)
 
 
 # ---------------------------------------------------------------------------

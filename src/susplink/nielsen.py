@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 from .contfrac import cf_dual, neg_cf_eval
@@ -34,7 +33,7 @@ from .graphs import (
 )
 
 __all__ = ["StalkChain", "EdgeChain", "Decomposition", "decompose",
-           "build_nielsen", "nielsen_isomorphic"]
+           "build_nielsen"]
 
 
 @dataclass(frozen=True)
@@ -129,14 +128,14 @@ def chain_gcd(values: list[int]) -> int:
     return gcds.pop()
 
 
-def _chain_fraction(mp: MultPlumbing, vertices) -> tuple[int, int]:
+def _chain_fraction(weight: dict[int, int], vertices) -> tuple[int, int]:
     """alpha/(alpha - beta) of the chain read in the given order.
 
     Chains of a non-minimal resolution may pass through weights >= -1; the
     negative continued fraction value is blow-down invariant, so the result
     is still the reduced pair (degenerate chains raise).
     """
-    weights = [-mp.vertex(vid).weight for vid in vertices]
+    weights = [-weight[vid] for vid in vertices]
     num, den = neg_cf_eval(weights)
     if num < 1 or not 1 <= den <= num:
         raise ChainDataError(
@@ -149,13 +148,13 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
     """Nielsen graph of the monodromy of the fibred multiplicity tree."""
     dec = decompose(mp)
     m = {v.id: v.m for v in mp.vertices}
-    vertices = tuple(
-        NielsenVertex(n, m[n], mp.vertex(n).genus, 1) for n in dec.nodes
-    )
+    weight = {v.id: v.weight for v in mp.vertices}
+    genus = {v.id: v.genus for v in mp.vertices}
+    vertices = tuple(NielsenVertex(n, m[n], genus[n], 1) for n in dec.nodes)
 
     stalks = []
     for sc in dec.stalk_chains:
-        alpha, den = _chain_fraction(mp, sc.vertices)
+        alpha, den = _chain_fraction(weight, sc.vertices)
         beta = alpha - den
         m_adj = m[sc.vertices[0]]
         expected = m[sc.node] // gcd(m[sc.node], m_adj)
@@ -180,7 +179,7 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
     for ec in dec.edge_chains:
         mi, mj = m[ec.node_u], m[ec.node_v]
         if ec.vertices:
-            alpha, den = _chain_fraction(mp, ec.vertices)
+            alpha, den = _chain_fraction(weight, ec.vertices)
             beta_u = alpha - den
             n = chain_gcd([mi] + [m[v] for v in ec.vertices] + [mj])
         else:
@@ -208,49 +207,3 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
         ))
 
     return NielsenGraph(vertices, tuple(stalks), tuple(boundary_stalks), tuple(edges))
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism of decorated Nielsen graphs
-# ---------------------------------------------------------------------------
-
-def _vertex_signature(n: NielsenGraph, vid: int):
-    v = n.vertex(vid)
-    stalks = sorted((s.lam, s.sigma) for s in n.stalks if s.vertex == vid)
-    bnd = sorted((b.lam, b.sigma, b.twist) for b in n.boundary_stalks
-                 if b.vertex == vid)
-    ends = sorted(
-        [(e.twist, e.lam_u, e.sigma_u) for e in n.edges if e.u == vid]
-        + [(e.twist, e.lam_v, e.sigma_v) for e in n.edges if e.v == vid]
-    )
-    return (v.order, v.genus, v.q, tuple(stalks), tuple(bnd), tuple(ends))
-
-
-def _edge_multiset(n: NielsenGraph, relabel):
-    out = []
-    for e in n.edges:
-        a = (relabel[e.u], e.lam_u, e.sigma_u)
-        b = (relabel[e.v], e.lam_v, e.sigma_v)
-        out.append((e.twist,) + tuple(sorted((a, b))))
-    return sorted(out)
-
-
-def nielsen_isomorphic(a: NielsenGraph, b: NielsenGraph) -> bool:
-    """Decoration-preserving graph isomorphism (brute force over the small
-    vertex sets that occur here)."""
-    if a == b:
-        return True
-    if len(a.vertices) != len(b.vertices):
-        return False
-    sig_a = {v.id: _vertex_signature(a, v.id) for v in a.vertices}
-    sig_b = {v.id: _vertex_signature(b, v.id) for v in b.vertices}
-    if sorted(sig_a.values()) != sorted(sig_b.values()):
-        return False
-    ids_a = list(a.ids)
-    for perm in permutations(b.ids):
-        relabel = dict(zip(ids_a, perm))
-        if any(sig_a[u] != sig_b[relabel[u]] for u in ids_a):
-            continue
-        if _edge_multiset(a, relabel) == _edge_multiset(b, {i: i for i in b.ids}):
-            return True
-    return False

@@ -37,7 +37,8 @@ class StageError(PlumbingError):
     """Wraps a stage failure with the stage name for reporting."""
 
     def __init__(self, stage: str, cause: PlumbingError):
-        super().__init__(f"[{stage}] {cause}", elements=cause.elements)
+        # the cause's bare message: its elements are appended once, here
+        super().__init__(f"[{stage}] {cause.args[0]}", elements=cause.elements)
         self.stage = stage
         self.cause = cause
 
@@ -101,7 +102,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
         except PlumbingError:
             product_mp = None  # product data is advisory, never fatal
     obstructions = _stage("invariants")(
-        obstruction_report, mp, strip_decorations(tree_full), r, product_mp)
+        obstruction_report, mp, tree_full, r, product_mp)
     return PipelineResult(
         resolution=graph,
         r=r,
@@ -121,10 +122,10 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
 def _empty_chain_notes(mp: MultPlumbing) -> tuple[str, ...]:
     """Adjacent nodes carry a trivial gluing (alpha = 1); outside the
     worked-example family, so worth flagging for auditing."""
-    from .nielsen import decompose
-
+    nodes = set(mp.node_ids())
     return tuple(
-        f"adjacent pieces {c.node_u} and {c.node_v}: empty connecting chain, "
+        f"adjacent pieces {u} and {v}: empty connecting chain, "
         "gluing data alpha = 1"
-        for c in decompose(mp).edge_chains if not c.vertices
+        for u, v in sorted((min(e.u, e.v), max(e.u, e.v)) for e in mp.edges
+                           if e.u in nodes and e.v in nodes)
     )

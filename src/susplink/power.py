@@ -112,10 +112,7 @@ def valency_formula_notes(n: NielsenGraph, r: int) -> tuple[str, ...]:
     m/(lam*n_i) differs from the orbit-count transform lam*n_i/n in use."""
     notes = []
     order = {v.id: v.order for v in n.vertices}
-    for vid, lam, sigma in [(s.vertex, s.lam, s.sigma) for s in n.stalks] \
-            + [(b.vertex, b.lam, b.sigma) for b in n.boundary_stalks] \
-            + [(e.u, e.lam_u, e.sigma_u) for e in n.edges] \
-            + [(e.v, e.lam_v, e.sigma_v) for e in n.edges]:
+    for vid, lam, sigma in n.incidences():
         m = order[vid]
         nv = gcd(m, r)
         n_i = gcd(m // lam, r)

@@ -15,6 +15,7 @@ edge sign wherever a flipped region meets an unflipped one.
 from __future__ import annotations
 
 import shlex
+from collections import Counter
 
 from .errors import FibrednessError, InputError, MonodromyError
 from .exactlinalg import eliminate
@@ -28,6 +29,7 @@ from .graphs import (
     ResolutionGraph,
     ResVertex,
     Vertex,
+    unbalanced,
 )
 
 _SIDES = ("fg", "f", "g")
@@ -116,15 +118,6 @@ def _parse_arrow(args) -> ResArrow:
     return ResArrow(vid, side, want)
 
 
-def arrow_counts(graph: ResolutionGraph, side: str) -> list[int]:
-    """b(L_side): number of side arrows per vertex, in vertex order."""
-    counts = {v.id: 0 for v in graph.vertices}
-    for a in graph.arrows:
-        if a.side == side:
-            counts[a.vertex] += 1
-    return [counts[v.id] for v in graph.vertices]
-
-
 def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
     """Unique integer solution of M * m + b(L_side) = 0, in vertex order.
 
@@ -133,32 +126,25 @@ def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
     """
     if side not in ("f", "g"):
         raise InputError(f"side must be f or g, got {side!r}")
-    b = arrow_counts(graph, side)
+    tree = PlumbingTree(
+        vertices=tuple(Vertex(v.id, v.weight, v.genus) for v in graph.vertices),
+        edges=tuple(Edge(u, v) for u, v in graph.edges),
+        arrows=tuple(Arrow(a.vertex, 1) for a in graph.arrows if a.side == side),
+    )
     if graph.has_multiplicities():
         given = [v.mf if side == "f" else v.mg for v in graph.vertices]
-        index = {vid: i for i, vid in enumerate(graph.ids)}
-        residual = [v.weight * m + c for v, m, c in zip(graph.vertices, given, b)]
-        for u, v in graph.edges:
-            residual[index[u]] += given[index[v]]
-            residual[index[v]] += given[index[u]]
-        bad = [graph.vertices[i].id for i, r in enumerate(residual) if r != 0]
+        bad = unbalanced(tree, dict(zip(graph.ids, given)))
         if bad:
             raise MonodromyError(
                 f"inconsistent arrow data: supplied side-{side} multiplicities "
-                f"do not solve the monodromical system", elements=tuple(bad))
-        return list(given)
-    solution = eliminate(_as_plumbing(graph), [-x for x in b]).solution
+                f"do not solve the monodromical system", elements=bad)
+        return given
+    b = Counter(a.vertex for a in tree.arrows)
+    solution = eliminate(tree, [-b[i] for i in graph.ids]).solution
     if any(x.denominator != 1 for x in solution):
         raise MonodromyError(
             f"inconsistent arrow data: side-{side} system has a non-integer solution")
     return [int(x) for x in solution]
-
-
-def _as_plumbing(graph: ResolutionGraph) -> PlumbingTree:
-    return PlumbingTree(
-        vertices=tuple(Vertex(v.id, v.weight, v.genus) for v in graph.vertices),
-        edges=tuple(Edge(u, v) for u, v in graph.edges),
-    )
 
 
 def multiplicity_diffs(graph: ResolutionGraph, side: str = "fg") -> dict[int, int]:
@@ -242,17 +228,10 @@ def verify_multiplicity_system(mp: MultPlumbing) -> None:
     matrix, so the stored nonnegative multiplicities solve it with the
     signed adjacency: b_v*m_v + sum(eps_e * m_other) + sum(arrow mults) = 0.
     """
-    m = {v.id: v.m for v in mp.vertices}
-    residual = {v.id: v.weight * v.m for v in mp.vertices}
-    for e in mp.edges:
-        residual[e.u] += e.sign * m[e.v]
-        residual[e.v] += e.sign * m[e.u]
-    for a in mp.arrows:
-        residual[a.vertex] += a.mult
-    bad = [i for i, r in residual.items() if r != 0]
+    bad = unbalanced(mp, {v.id: v.m for v in mp.vertices})
     if bad:
         raise MonodromyError("multiplicities do not solve the monodromical system",
-                             elements=tuple(bad))
+                             elements=bad)
 
 
 def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:

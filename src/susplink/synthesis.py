@@ -21,7 +21,8 @@ from fractions import Fraction
 from .contfrac import cf_dual, neg_cf_eval, neg_cf_expand
 from .errors import BalanceError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
-from .graphs import Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, adjacency
+from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, adjacency,
+                     unbalanced)
 
 __all__ = ["chain_mults", "synth_plumbing", "blow_down", "normalize_edge_signs",
            "reduce_tree", "strip_decorations", "verify_balance"]
@@ -55,13 +56,15 @@ def chain_mults(weights, left_mult: int, right_mult: int | None = None,
     return [int(x) for x in solution]
 
 
-def _node_signs(w: WaldhausenGraph) -> dict[int, int]:
-    """2-coloring of the Seifert pieces across eps = -1 gluings."""
+def _two_colouring(ids, signed_edges) -> dict[int, int]:
+    """+-1 per vertex with colour(v) = colour(u) * sign across every
+    (u, v, sign) in ``signed_edges``, breadth first from the least id of
+    each component; an odd cycle of -1 signs has none."""
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
+    for u, v, sign in signed_edges:
+        adj[u].append((v, sign))
+        adj[v].append((u, sign))
     colors: dict[int, int] = {}
-    adj: dict[int, list[tuple[int, int]]] = {v.id: [] for v in w.vertices}
-    for e in w.edges:
-        adj[e.u].append((e.v, e.eps))
-        adj[e.v].append((e.u, e.eps))
     for root in sorted(adj):
         if root in colors:
             continue
@@ -69,8 +72,8 @@ def _node_signs(w: WaldhausenGraph) -> dict[int, int]:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v, eps in adj[u]:
-                want = colors[u] * eps
+            for v, sign in adj[u]:
+                want = colors[u] * sign
                 if v not in colors:
                     colors[v] = want
                     queue.append(v)
@@ -89,7 +92,8 @@ def synth_plumbing(w: WaldhausenGraph, keep_arrows: bool = False) -> PlumbingTre
     dropped unless ``keep_arrows``.  The monodromical balance is re-checked
     globally before returning.
     """
-    colors = _node_signs(w)
+    # multiplicity signs of the Seifert pieces, across the eps = -1 gluings
+    colors = _two_colouring(w.ids, [(e.u, e.v, e.eps) for e in w.edges])
     vertices: list[Vertex] = []
     edges: list[Edge] = []
     arrows: list[Arrow] = []
@@ -197,21 +201,11 @@ def synth_plumbing(w: WaldhausenGraph, keep_arrows: bool = False) -> PlumbingTre
 def verify_balance(tree: PlumbingTree) -> None:
     """Global re-check that weights, multiplicities and binding arrows solve
     the monodromical system at every vertex."""
-    index = {v.id: i for i, v in enumerate(tree.vertices)}
-    n = len(tree.vertices)
-    residual = [0] * n
-    for i, v in enumerate(tree.vertices):
-        residual[i] = v.weight * (v.mult or 0)
-    for e in tree.edges:
-        residual[index[e.u]] += tree.vertices[index[e.v]].mult or 0
-        residual[index[e.v]] += tree.vertices[index[e.u]].mult or 0
-    for a in tree.arrows:
-        residual[index[a.vertex]] += a.mult
-    bad = [tree.vertices[i].id for i in range(n) if residual[i] != 0]
+    bad = unbalanced(tree, {v.id: v.mult or 0 for v in tree.vertices})
     if bad:
         raise BalanceError(
             "monodromical balance failure at synthesized vertices",
-            elements=tuple(bad))
+            elements=bad)
 
 
 def strip_decorations(tree: PlumbingTree, keep_mults: bool = False) -> PlumbingTree:
@@ -301,16 +295,7 @@ def normalize_edge_signs(tree: PlumbingTree) -> PlumbingTree:
     into per-vertex flip flags.  Only defined on trees."""
     if not tree.is_tree():
         raise NotATreeError("not a tree: sign normalization skipped")
-    adj = adjacency(tree.ids, tree.edges)
-    root = min(tree.ids)
-    colors = {root: 1}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v, sign in adj[u]:
-            if v not in colors:
-                colors[v] = colors[u] * sign
-                queue.append(v)
+    colors = _two_colouring(tree.ids, [(e.u, e.v, e.sign) for e in tree.edges])
     vertices = []
     for v in tree.vertices:
         if v.mult is None:

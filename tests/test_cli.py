@@ -81,6 +81,7 @@ def test_error_exit_code_and_stage(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "step1" in err and "not fibred" in err
+    assert err.count("(elements: 1)") == 1
 
 
 def test_wrong_stage_input_is_rejected(tmp_path, capsys):

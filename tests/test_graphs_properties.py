@@ -3,17 +3,20 @@ from fractions import Fraction
 from hypothesis import given, strategies as st
 
 from susplink.graphs import (
+    Arrow,
     Edge,
     PlumbingTree,
     Vertex,
     intersection_matrix,
     multiplicity_to_plumbing,
     symmetric_rep,
+    unbalanced,
 )
 from susplink.invariants import fibre_euler
 from susplink.resolve import normalize_signed, signed_mults, subtract_and_normalize
 from susplink.synthesis import blow_down, normalize_edge_signs
 from dense_linalg import determinant
+from test_exactlinalg import plumbing_forms
 
 big = st.integers(min_value=-(2 ** 128), max_value=2 ** 128)
 nonzero = big.filter(lambda x: x != 0)
@@ -53,6 +56,31 @@ def test_intersection_matrix_shape_and_symmetry(tree):
     assert len(m) == len(tree.vertices)
     assert all(m[i][j] == m[j][i] for i in range(len(m)) for j in range(len(m)))
     assert [m[i][i] for i in range(len(m))] == [v.weight for v in tree.vertices]
+
+
+def dense_residual(graph, mults):
+    """A*m + b with A the intersection matrix and b the arrow mults per vertex."""
+    matrix = intersection_matrix(graph)
+    b = [0] * len(matrix)
+    for a in graph.arrows:
+        b[a.vertex] += a.mult
+    return [sum(a * m for a, m in zip(row, mults)) + c for row, c in zip(matrix, b)]
+
+
+@given(plumbing_forms(), st.data())
+def test_unbalanced_matches_dense_residual(tree, data):
+    n = len(tree.vertices)
+    mults = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    arrows = data.draw(st.lists(st.builds(Arrow, st.integers(0, n - 1),
+                                          st.integers(-2, 2)), max_size=3))
+    residual = dense_residual(PlumbingTree(tree.vertices, tree.edges, tuple(arrows)),
+                              mults)
+    # cancel the residual at some vertices, so that balanced ones occur too
+    fixed = data.draw(st.sets(st.integers(0, n - 1)))
+    arrows += [Arrow(i, -residual[i]) for i in sorted(fixed)]
+    graph = PlumbingTree(tree.vertices, tree.edges, tuple(arrows))
+    expected = tuple(i for i, r in enumerate(dense_residual(graph, mults)) if r)
+    assert unbalanced(graph, dict(enumerate(mults))) == expected
 
 
 @given(st.integers(1, 10 ** 6), st.integers(0, 10 ** 6))

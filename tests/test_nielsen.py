@@ -1,10 +1,13 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from susplink.errors import ChainDataError, UnsupportedError
-from susplink.graphs import Arrow, Edge, MultPlumbing, MultVertex
-from susplink.nielsen import build_nielsen, decompose, nielsen_isomorphic
+from nielsen_iso import nielsen_isomorphic
+from susplink.errors import ChainDataError, InputError, UnsupportedError
+from susplink.graphs import (Arrow, Edge, MultPlumbing, MultVertex, NielsenGraph,
+                             NielsenVertex, Stalk)
+from susplink.nielsen import build_nielsen, decompose
 from susplink.resolve import subtract_and_normalize
 
 
@@ -107,8 +110,21 @@ def test_nielsen_ex3(ex3_graph):
 def test_euler_class_sums_are_integral(ex1_graph, ex2_graph, ex3_graph):
     for graph in (ex1_graph, ex2_graph, ex3_graph):
         n = build_nielsen(mp_of(graph))
-        for v in n.vertices:
-            assert n.euler_class_sum(v.id).denominator == 1
+        sums = {v.id: Fraction(0) for v in n.vertices}
+        for vid, lam, sigma in n.incidences():
+            sums[vid] += Fraction(sigma, lam)
+        assert all(s.denominator == 1 for s in sums.values())
+
+
+@pytest.mark.parametrize("order,stalk,message", [
+    (2, Stalk(5, 2, 1), "sum of sigma/lam at vertex 5 is 1/2, not an integer"),
+    (2, Stalk(5, 3, 1), "lam = 3 does not divide the order 2"),
+    (4, Stalk(5, 4, 2), "sigma = 2 is not invertible mod lam = 4"),
+], ids=["euler_sum", "lam_divides_order", "sigma_invertible"])
+def test_nielsen_graph_validation(order, stalk, message):
+    with pytest.raises(InputError, match=re.escape(message)) as info:
+        NielsenGraph((NielsenVertex(5, order, 0),), (stalk,))
+    assert info.value.elements == (5,)
 
 
 def test_stalk_alpha_cross_check(ex1_graph, ex3_graph):

@@ -122,6 +122,18 @@ def test_balance_on_all_runs(ex1_graph, ex2_graph, ex3_graph, cusp_graph):
         verify_balance(tree_of(graph, r))
 
 
+def test_balance_honours_edge_signs():
+    """Two weight -1 vertices on a -1 edge: multiplicities (1, 1) break the
+    balance, (1, -1) solve it."""
+    def pair(m1, m2):
+        return PlumbingTree((Vertex(1, -1, mult=m1), Vertex(2, -1, mult=m2)),
+                            (Edge(1, 2, -1),))
+
+    with pytest.raises(BalanceError):
+        verify_balance(pair(1, 1))
+    verify_balance(pair(1, -1))
+
+
 def test_r1_resynthesizes_the_input(ex1_graph):
     # running the whole loop at r = 1 rebuilds the resolution tree shape
     tree = strip_decorations(tree_of(ex1_graph, 1))
