@@ -39,10 +39,17 @@ from .waldhausen import nielsen_to_waldhausen
 
 
 def _read(path: str) -> str:
+    """The UTF-8 text of ``path`` ('-' for stdin); InputError if it is not."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        name = "stdin" if path == "-" else path
+        raise InputError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _load(path: str, want, stage: str):

@@ -5,7 +5,12 @@ off it.  Eliminating least degree first strips a tree leaf by leaf without
 fill-in (Parter 1961); cycles and parallel edges fill in as they need.  The
 pivots give the determinant (their product) and negative-definiteness (all
 1x1 and negative, by Sylvester's law of inertia), and a right-hand side is
-solved in the same pass.  No floating point.
+solved in the same pass.
+
+Every rational inside the elimination is a reduced pair of ints
+``(numerator, denominator)`` with a positive denominator, kept reduced by
+``math.gcd``; only the returned solution is made of ``Fraction``s.  No
+floating point.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import MonodromyError
 
@@ -35,23 +41,23 @@ def eliminate(graph, rhs=None) -> Elimination:
     """
     index = {v.id: i for i, v in enumerate(graph.vertices)}
     n = len(index)
-    diag = [Fraction(v.weight) for v in graph.vertices]
-    off: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    diag = [(v.weight, 1) for v in graph.vertices]
+    off: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     for e in graph.edges:
-        _add(off[index[e.u]], index[e.v], e.sign)
-        _add(off[index[e.v]], index[e.u], e.sign)
-    b = [Fraction(x) for x in rhs] if rhs is not None else [0] * n
+        _accumulate(off[index[e.u]], index[e.v], (e.sign, 1))
+        _accumulate(off[index[e.v]], index[e.u], (e.sign, 1))
+    b = [(x.numerator, x.denominator) for x in rhs] if rhs is not None else [(0, 1)] * n
     alive = [True] * n
     heap = [(len(row), i) for i, row in enumerate(off)]
     heapq.heapify(heap)
-    det, definite, steps, remaining = Fraction(1), True, [], n
+    det, definite, steps, remaining = (1, 1), True, [], n
     while remaining:
         while heap:
             degree, v = heapq.heappop(heap)
-            if alive[v] and degree == len(off[v]) and diag[v]:
-                block, inverse = (v,), {(v, v): 1 / diag[v]}
-                det *= diag[v]
-                definite = definite and diag[v] < 0
+            if alive[v] and degree == len(off[v]) and diag[v][0]:
+                block, inverse = (v,), {(v, v): _inverse(diag[v])}
+                det = _mul(det, diag[v])
+                definite = definite and diag[v][0] < 0
                 break
         else:
             v = next((i for i in range(n) if alive[i] and off[i]), None)
@@ -60,9 +66,9 @@ def eliminate(graph, rhs=None) -> Elimination:
                     raise MonodromyError("degenerate monodromical system: singular matrix")
                 return Elimination(0, False, None)
             w = min(off[v])
-            c = Fraction(off[v][w])
-            block, inverse = (v, w), {(v, w): 1 / c, (w, v): 1 / c}
-            det *= -c * c
+            c = off[v][w]
+            block, inverse = (v, w), {(v, w): _inverse(c), (w, v): _inverse(c)}
+            det = _mul(det, _mul(c, (-c[0], c[1])))
             definite = False
         couplings = {s: {k: x for k, x in off[s].items() if k not in block} for s in block}
         for s in block:
@@ -72,33 +78,69 @@ def eliminate(graph, rhs=None) -> Elimination:
         # Schur complement: a_kl -= sum over s, t of a_ks (block^-1)_st a_tl
         for (s, t), p in inverse.items():
             for k, x in couplings[s].items():
-                f = x * p
-                if b[t]:
-                    b[k] -= f * b[t]
+                f = _mul(x, p)
+                f = (-f[0], f[1])
+                if b[t][0]:
+                    b[k] = _add(b[k], _mul(f, b[t]))
                 for l, y in couplings[t].items():
                     if k == l:
-                        diag[k] -= f * y
+                        diag[k] = _add(diag[k], _mul(f, y))
                     else:
-                        _add(off[k], l, -f * y)
+                        _accumulate(off[k], l, _mul(f, y))
         for k in set().union(*couplings.values()):
             heapq.heappush(heap, (len(off[k]), k))
-        steps.append((block, inverse, couplings))
+        if rhs is not None:
+            steps.append((block, inverse, couplings))
         remaining -= len(block)
     if rhs is None:
-        return Elimination(int(det), definite, None)
-    x: list[Fraction] = [Fraction(0)] * n
+        return Elimination(det[0], definite, None)
+    x = [(0, 1)] * n
     for block, inverse, couplings in reversed(steps):
-        residual = {t: b[t] - sum(y * x[k] for k, y in couplings[t].items())
-                    for t in block}
+        residual = {}
+        for t in block:
+            r = b[t]
+            for k, y in couplings[t].items():
+                u = _mul(y, x[k])
+                r = _add(r, (-u[0], u[1]))
+            residual[t] = r
         for (s, t), p in inverse.items():
-            x[s] += p * residual[t]
-    return Elimination(int(det), definite, x)
+            x[s] = _add(x[s], _mul(p, residual[t]))
+    return Elimination(det[0], definite, [Fraction(*q) for q in x])
 
 
-def _add(row: dict, j: int, value) -> None:
+def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The reduced product of two reduced pairs."""
+    (an, ad), (bn, bd) = a, b
+    if ad == 1 and bd == 1:
+        return an * bn, 1
+    g1, g2 = gcd(an, bd), gcd(bn, ad)
+    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
+
+
+def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """The reduced sum of two reduced pairs."""
+    (an, ad), (bn, bd) = a, b
+    if ad == 1 and bd == 1:
+        return an + bn, 1
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + bn * ad, ad * bd
+    s = ad // g
+    num = an * (bd // g) + bn * s
+    g2 = gcd(num, g)
+    return num // g2, s * (bd // g2)
+
+
+def _inverse(a: tuple[int, int]) -> tuple[int, int]:
+    """The reciprocal of a nonzero reduced pair, its denominator kept positive."""
+    num, den = a
+    return (den, num) if num > 0 else (-den, -num)
+
+
+def _accumulate(row: dict, j: int, value: tuple[int, int]) -> None:
     """Add to one off-diagonal entry, dropping it when it cancels to zero."""
-    total = row.get(j, 0) + value
-    if total:
+    total = _add(row[j], value) if j in row else value
+    if total[0]:
         row[j] = total
     else:
         del row[j]

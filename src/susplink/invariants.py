@@ -180,13 +180,14 @@ def obstruction_report(mp: MultPlumbing, tree: PlumbingTree, r: int,
     ksq = k_squared(tree, K)
     fibre = fibre_euler(mp)
     chi_F = join_euler(fibre.chi, r)
-    ls = _congruence(K, chi_resolution(tree) + ksq, chi_F)
+    chi_res = chi_resolution(tree)
+    ls = _congruence(K, chi_res + ksq, chi_F)
     product = fibre_euler(product_mp) if product_mp is not None else None
     return ObstructionReport(
         K=tuple(K),
         K_squared=ksq,
-        numerically_gorenstein=is_num_gorenstein(K),
-        chi_resolution=chi_resolution(tree),
+        numerically_gorenstein=ls.applicable,
+        chi_resolution=chi_res,
         chi_fibre_fg=fibre.chi,
         fibre_genus=fibre.genus,
         fibre_boundary=fibre.boundary,

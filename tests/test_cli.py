@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -114,6 +115,24 @@ def test_malformed_stage_document(tmp_path, capsys, command, doc):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error [{command}] ")
+
+
+@pytest.mark.parametrize("command", ["pipeline", "step1", "invariants"])
+def test_non_utf8_input_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"\xff\xfe\x00bad")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error [{command}] {path}: not UTF-8 text")
+
+
+def test_non_utf8_stdin_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe\x00bad")))
+    code, out, err = run_cli(capsys, "step1", "-")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [step1] stdin: not UTF-8 text")
 
 
 def test_side_flag(capsys):

@@ -86,25 +86,42 @@ def test_definiteness_matches_oracle(m):
 # -- the sparse elimination against the dense reference ----------------------
 
 @st.composite
-def plumbing_forms(draw):
+def plumbing_forms(draw, max_vertices=7, weight=st.sampled_from((-3, -2, -1, 0, 0, 1)),
+                   max_extra_edges=4):
     """Random trees, plus extra edges (cycles and parallel edges) and edges
     doubled with the opposite sign, so that they cancel; zero weights are
     frequent enough to reach the 2x2 pivots."""
-    n = draw(st.integers(1, 7))
-    weights = draw(st.lists(st.sampled_from((-3, -2, -1, 0, 0, 1)),
-                            min_size=n, max_size=n))
+    n = draw(st.integers(1, max_vertices))
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
     pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
     if n > 1:
         pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                               .filter(lambda p: p[0] != p[1]), max_size=4))
+                               .filter(lambda p: p[0] != p[1]), max_size=max_extra_edges))
     edges = [Edge(u, v, draw(st.sampled_from((1, -1)))) for u, v in pairs]
     cancel = draw(st.sets(st.integers(0, max(len(edges) - 1, 0))))
     edges += [Edge(e.u, e.v, -e.sign) for i, e in enumerate(edges) if i in cancel]
     return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights)), tuple(edges))
 
 
+# Up to 12 vertices with weights up to 10^6 and up to 16 extra edges, so the
+# fill-in of the cycles leaves large rational off-diagonal entries.
+large_forms = plumbing_forms(
+    max_vertices=12,
+    weight=st.integers(-10**6, 10**6) | st.sampled_from((-2, -1, 0, 1)),
+    max_extra_edges=16)
+
+
 @given(plumbing_forms(), st.lists(st.integers(-9, 9), min_size=7, max_size=7))
 def test_elimination_matches_dense_reference(tree, rhs):
+    _check_against_dense_reference(tree, rhs)
+
+
+@given(large_forms, st.lists(st.integers(-10**9, 10**9), min_size=12, max_size=12))
+def test_large_elimination_matches_dense_reference(tree, rhs):
+    _check_against_dense_reference(tree, rhs)
+
+
+def _check_against_dense_reference(tree, rhs):
     matrix = intersection_matrix(tree)
     rhs = rhs[:len(matrix)]
     form = eliminate(tree)
@@ -138,3 +155,34 @@ def test_elimination_singular_form():
     assert (form.determinant, form.negative_definite) == (0, False)
     with pytest.raises(MonodromyError, match="canonical class undefined"):
         canonical_class(tree)
+
+
+def _chain(weights):
+    return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights)),
+                        tuple(Edge(i, i + 1) for i in range(len(weights) - 1)))
+
+
+def test_long_minus_two_chain():
+    # A_500: det (-1)^500 * 501, negative definite
+    form = eliminate(_chain([-2] * 500))
+    assert (form.determinant, form.negative_definite) == (501, True)
+
+
+def test_long_minus_three_chain():
+    # the continuant D_k = -3 D_(k-1) - D_(k-2), D_0 = 1, D_1 = -3
+    dets = [1, -3]
+    for _ in range(119):
+        dets.append(-3 * dets[-1] - dets[-2])
+    assert dets[120].bit_length() > 160
+    form = eliminate(_chain([-3] * 120))
+    assert (form.determinant, form.negative_definite) == (dets[120], True)
+
+
+def test_long_minus_three_chain_solve():
+    n = 120
+    rhs = [1] + [0] * (n - 1)
+    x = eliminate(_chain([-3] * n), rhs).solution
+    assert all(isinstance(v, Fraction) for v in x)
+    for i in range(n):
+        row = -3 * x[i] + (x[i - 1] if i else 0) + (x[i + 1] if i < n - 1 else 0)
+        assert row == rhs[i]
