@@ -8,6 +8,7 @@ must reproduce the 3-sphere.
 """
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -33,7 +34,7 @@ def main() -> int:
         reduced = result.blowdown
         print(f"== {name} at r = {r}")
         print(f"   final tree: {len(tree.vertices)} vertices, "
-              f"weights {sorted(tree.weight_multiset().items())}")
+              f"weights {sorted(Counter(v.weight for v in tree.vertices).items())}")
         print(f"   reduced: {len(reduced.vertices)} vertices, "
               f"|det| = {abs(determinant(reduced))}")
         for line in describe_obstructions(result.obstructions):

@@ -41,7 +41,6 @@ from .graphs import (
     WaldStalk,
     WaldVertex,
     intersection_matrix,
-    multiplicity_to_plumbing,
     symmetric_rep,
 )
 from .invariants import (
@@ -71,7 +70,6 @@ from .resolve import (
     product_multiplicity_tree,
     solve_monodromical,
     subtract_and_normalize,
-    verify_multiplicity_system,
 )
 from .serialize import from_dict, from_json, to_dict, to_dot, to_json
 from .synthesis import (

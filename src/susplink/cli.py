@@ -153,7 +153,9 @@ def _cmd_waldhausen(args) -> str:
 
 def _cmd_plumbing(args) -> str:
     w = _load(args.input, WaldhausenGraph, "plumbing")
-    tree = synth_plumbing(w, keep_arrows=args.keep_arrows)
+    tree = synth_plumbing(w)
+    if not args.keep_arrows:
+        tree = strip_decorations(tree)
     if args.blow_down:
         tree = reduce_tree(tree)
     return _graph_output(tree, args.format)
@@ -161,7 +163,7 @@ def _cmd_plumbing(args) -> str:
 
 def _cmd_invariants(args) -> str:
     tree = _load(args.input, PlumbingTree, "invariants")
-    tree = strip_decorations(tree, keep_mults=True)
+    tree = strip_decorations(tree)
     if args.blow_down:
         tree = reduce_tree(tree)
     form = adjunction_system(tree)

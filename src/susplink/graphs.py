@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError, NotATreeError
+from .errors import InputError, NotATreeError, UnsupportedError
 
 __all__ = [
     "Vertex",
@@ -52,7 +52,7 @@ __all__ = [
     "unbalanced",
     "adjacency",
     "check_tree",
-    "multiplicity_to_plumbing",
+    "require_fixed_pieces",
 ]
 
 
@@ -134,20 +134,13 @@ class PlumbingTree:
     def is_tree(self) -> bool:
         return _is_tree(self.ids, [(e.u, e.v) for e in self.edges])
 
-    def weight_multiset(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for v in self.vertices:
-            out[v.weight] = out.get(v.weight, 0) + 1
-        return out
-
 
 def adjacency(ids, edges) -> dict[int, list[tuple[int, int]]]:
     """id -> list of (neighbor, sign), one entry per parallel edge."""
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
     for e in edges:
-        sign = getattr(e, "sign", 1)
-        adj[e.u].append((e.v, sign))
-        adj[e.v].append((e.u, sign))
+        adj[e.u].append((e.v, e.sign))
+        adj[e.v].append((e.u, e.sign))
     return adj
 
 
@@ -323,25 +316,25 @@ class MultPlumbing:
                         {v.id: v.genus for v in self.vertices})
 
 
-def multiplicity_to_plumbing(mp: MultPlumbing) -> PlumbingTree:
-    """View a multiplicity tree as a plumbing tree with signed multiplicities."""
-    return PlumbingTree(
-        vertices=tuple(
-            Vertex(v.id, v.weight, v.genus,
-                   mult=-v.m if v.flipped else v.m, flipped=v.flipped)
-            for v in mp.vertices
-        ),
-        edges=mp.edges,
-        arrows=mp.arrows,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Nielsen graphs
 # ---------------------------------------------------------------------------
 
-def _canonical(sigma: int, lam: int) -> int:
-    return sigma % lam if lam > 0 else sigma
+def _check_pieces(vertices) -> None:
+    """Vertices of Nielsen and Waldhausen graphs are pieces with an order
+    and a q of at least 1 and a nonnegative genus."""
+    for v in vertices:
+        if v.order < 1 or v.q < 1 or v.genus < 0:
+            raise InputError("order and q must be >= 1, genus >= 0", elements=(v.id,))
+
+
+def require_fixed_pieces(vertices) -> None:
+    """Only pieces fixed by the monodromy (q = 1) are supported."""
+    for v in vertices:
+        if v.q != 1:
+            raise UnsupportedError(
+                "pieces permuted in orbits of size q > 1 are not supported",
+                elements=(v.id,))
 
 
 def symmetric_rep(sigma: int, lam: int) -> int:
@@ -405,10 +398,7 @@ class NielsenGraph:
         # sum of sigma/lam per vertex; its integrality does not depend on
         # the representative choice
         euler = {i: Fraction(0) for i in ids}
-        for v in self.vertices:
-            if v.order < 1 or v.q < 1 or v.genus < 0:
-                raise InputError("order and q must be >= 1, genus >= 0",
-                                 elements=(v.id,))
+        _check_pieces(self.vertices)
         for vid, lam, sigma in self.incidences():
             if vid not in euler:
                 raise InputError("incidence on unknown vertex", elements=(vid,))
@@ -508,6 +498,7 @@ class WaldhausenGraph:
     def __post_init__(self):
         ids = _ids(self.vertices)
         known = set(ids)
+        _check_pieces(self.vertices)
         for s in self.stalks:
             if s.vertex not in known:
                 raise InputError("stalk on unknown vertex", elements=(s.vertex,))

@@ -118,9 +118,6 @@ class LauferSteenbrink:
     right: int | None     # chi(resolution) + K^2, mod 12 in [0, 12)
     congruent: bool | None
 
-    def as_tuple(self):
-        return (self.left, self.right, self.congruent)
-
 
 def laufer_steenbrink(tree: PlumbingTree, chi_fibre_F: int) -> LauferSteenbrink:
     """Mod-12 smoothing congruence; inapplicable when K is not integral."""

@@ -76,8 +76,9 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
 
     ``source`` is either the input text or an already-parsed graph; ``r`` is
     the suspension exponent (r = 1 reproduces the base manifold, the
-    standard sanity check).  ``reduce`` additionally blows the final tree
-    down.  Output is deterministic for fixed input.
+    standard sanity check).  ``plumbing`` keeps the binding arrows of
+    ``plumbing_full`` only with ``keep_arrows``; ``reduce`` additionally
+    blows it down.  Output is deterministic for fixed input.
     """
     if r < 1:
         raise StageError("input", PlumbingError(f"r must be >= 1, got {r}"))
@@ -90,8 +91,8 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
     powered = _stage("power")(power_nielsen, nielsen, r)
     notes = _empty_chain_notes(mp) + valency_formula_notes(nielsen, r)
     wald = _stage("waldhausen")(nielsen_to_waldhausen, powered)
-    tree_full = _stage("plumbing")(synth_plumbing, wald, True)
-    tree = tree_full if keep_arrows else strip_decorations(tree_full, keep_mults=True)
+    tree_full = _stage("plumbing")(synth_plumbing, wald)
+    tree = tree_full if keep_arrows else strip_decorations(tree_full)
     reduced = None
     if reduce:
         reduced = _stage("blowdown")(reduce_tree, tree)

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import InputError, UnsupportedError
+from .errors import InputError
 from .graphs import (
     BoundaryStalk,
     NielsenEdge,
     NielsenGraph,
     NielsenVertex,
     Stalk,
+    require_fixed_pieces,
 )
 
 __all__ = ["power_nielsen", "valency_formula_notes"]
@@ -54,11 +55,7 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     """Nielsen graph of the r-th power (r = 1 returns an identical graph)."""
     if r < 1:
         raise InputError(f"power must be >= 1, got {r}")
-    for v in n.vertices:
-        if v.q != 1:
-            raise UnsupportedError(
-                "pieces permuted in orbits of size q > 1 are not supported",
-                elements=(v.id,))
+    require_fixed_pieces(n.vertices)
 
     order = {v.id: v.order for v in n.vertices}
     branch_deficits: dict[int, int] = {v.id: 0 for v in n.vertices}

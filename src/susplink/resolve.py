@@ -217,23 +217,6 @@ def normalize_signed(graph: ResolutionGraph, signed: dict[int, int]) -> MultPlum
     return MultPlumbing(vertices, edges, arrows)
 
 
-def signed_mults(mp: MultPlumbing) -> dict[int, int]:
-    return {v.id: -v.m if v.flipped else v.m for v in mp.vertices}
-
-
-def verify_multiplicity_system(mp: MultPlumbing) -> None:
-    """Re-substitution check of the flip-normalized monodromical system.
-
-    Orientation normalization conjugates the system by a diagonal sign
-    matrix, so the stored nonnegative multiplicities solve it with the
-    signed adjacency: b_v*m_v + sum(eps_e * m_other) + sum(arrow mults) = 0.
-    """
-    bad = unbalanced(mp, {v.id: v.m for v in mp.vertices})
-    if bad:
-        raise MonodromyError("multiplicities do not solve the monodromical system",
-                             elements=bad)
-
-
 def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
     """Multiplicity tree of the holomorphic product germ (m = m^f + m^g).
 
@@ -243,7 +226,6 @@ def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
     mf = solve_monodromical(graph, "f")
     mg = solve_monodromical(graph, "g")
     sums = {i: a + b for i, a, b in zip(graph.ids, mf, mg)}
-    arrows = tuple(Arrow(a.vertex, 1) for a in graph.arrows)
     plain = ResolutionGraph(
         graph.vertices,
         graph.edges,

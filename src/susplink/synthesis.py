@@ -16,43 +16,39 @@ whose integrality doubles as a self-check of the whole pipeline.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 
 from .contfrac import cf_dual, neg_cf_eval, neg_cf_expand
 from .errors import BalanceError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
 from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, adjacency,
-                     unbalanced)
+                     require_fixed_pieces, unbalanced)
 
 __all__ = ["chain_mults", "synth_plumbing", "blow_down", "normalize_edge_signs",
            "reduce_tree", "strip_decorations", "verify_balance"]
 
 
-def chain_mults(weights, left_mult: int, right_mult: int | None = None,
-                arrow_mult: int | None = None) -> list[int]:
-    """Exact multiplicities along a chain with given boundary data.
+def chain_mults(weights, left_mult: int, right_mult: int = 0) -> list[int]:
+    """Exact multiplicities along a chain of ``weights``.
 
-    ``left_mult`` is the multiplicity of the vertex attached before the first
-    chain vertex.  The far end is either free (a leaf), another vertex of
-    multiplicity ``right_mult``, or a binding arrow contributing the constant
-    ``arrow_mult``.  Raises BalanceError when the solution is not integral.
+    ``left_mult`` is the multiplicity of the vertex before the first chain
+    vertex and ``right_mult`` what lies past the last one: the multiplicity
+    of a neighbouring vertex, that of a binding arrow, or 0 at a leaf.  Both
+    enter the balance of their end vertex as constants.  Raises BalanceError
+    when the solution is not integral.
     """
     if not weights:
         raise ValueError("empty chain")
-    if right_mult is not None and arrow_mult is not None:
-        raise ValueError("a chain end is either a vertex or an arrow, not both")
     k = len(weights)
     path = PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights)),
                         tuple(Edge(i, i + 1) for i in range(k - 1)))
     rhs = [0] * k
     rhs[0] -= left_mult
-    rhs[-1] -= (right_mult or 0) + (arrow_mult or 0)
+    rhs[-1] -= right_mult
     solution = eliminate(path, rhs).solution
     if any(x.denominator != 1 for x in solution):
         raise BalanceError(
             f"monodromical balance failure: chain {list(weights)} with end data "
-            f"({left_mult}, {right_mult if right_mult is not None else arrow_mult}) "
-            f"has non-integral multiplicities {solution}")
+            f"({left_mult}, {right_mult}) has non-integral multiplicities {solution}")
     return [int(x) for x in solution]
 
 
@@ -84,69 +80,60 @@ def _two_colouring(ids, signed_edges) -> dict[int, int]:
     return colors
 
 
-def synth_plumbing(w: WaldhausenGraph, keep_arrows: bool = False) -> PlumbingTree:
-    """Plumbing tree whose boundary carries the open book described by ``w``.
+def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
+    """Plumbing tree whose boundary carries the open book described by ``w``,
+    with its binding arrows and every multiplicity.
 
-    Node vertices keep their Waldhausen ids; chain vertices get fresh ids.
-    The returned tree always carries multiplicities; binding arrows are
-    dropped unless ``keep_arrows``.  The monodromical balance is re-checked
-    globally before returning.
+    Node vertices keep their Waldhausen ids and come first; chain vertices
+    get fresh ids in the order their chains are attached.  Each chain is
+    solved as it is attached, and each node weight follows from the sum of
+    its neighbour and arrow multiplicities.  The monodromical balance is
+    re-checked globally before returning.
     """
+    require_fixed_pieces(w.vertices)
     # multiplicity signs of the Seifert pieces, across the eps = -1 gluings
     colors = _two_colouring(w.ids, [(e.u, e.v, e.eps) for e in w.edges])
-    vertices: list[Vertex] = []
+    mult = {v.id: colors[v.id] * v.order for v in w.vertices}
+    # sum of the neighbour and arrow multiplicities at each node
+    terms = {v.id: 0 for v in w.vertices}
+    chain_vertices: list[Vertex] = []
     edges: list[Edge] = []
     arrows: list[Arrow] = []
-    node_weight_terms: dict[int, int] = {v.id: 0 for v in w.vertices}
     next_id = max(w.ids) + 1 if w.ids else 1
 
-    def fresh() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
-
     def attach_chain(node: int, alpha: int, beta: int, origin: str,
-                     far_arrow: int | None = None) -> list[tuple[int, int]]:
-        """Chain of -neg_cf_expand(alpha, alpha - beta) hanging off ``node``.
-        Returns [(vertex id, weight), ...]; multiplicities are filled later."""
+                     far_mult: int = 0) -> tuple[int, int]:
+        """Chain of -neg_cf_expand(alpha, alpha - beta) hanging off ``node``
+        with ``far_mult`` past its far end; returns the id and the
+        multiplicity of its last vertex."""
+        nonlocal next_id
         weights = [-b for b in neg_cf_expand(alpha, alpha - beta)]
-        chain_ids = [fresh() for _ in weights]
+        values = chain_mults(weights, mult[node], far_mult)
+        terms[node] += values[0]
         prev = node
-        for i, (vid, wt) in enumerate(zip(chain_ids, weights)):
-            vertices.append(Vertex(vid, wt, 0, None, False,
-                                   f"{origin}[{i + 1}]"))
-            edges.append(Edge(prev, vid, 1))
-            prev = vid
-        if far_arrow is not None:
-            arrows.append(Arrow(chain_ids[-1], far_arrow, "binding"))
-        return list(zip(chain_ids, weights))
+        for i, (wt, m) in enumerate(zip(weights, values)):
+            chain_vertices.append(Vertex(next_id, wt, 0, m, False, f"{origin}[{i + 1}]"))
+            edges.append(Edge(prev, next_id))
+            prev = next_id
+            next_id += 1
+        return prev, values[-1]
 
-    mult: dict[int, int] = {}
-    for v in w.vertices:
-        mult[v.id] = colors[v.id] * v.order
-        vertices.append(Vertex(v.id, 0, v.genus, mult[v.id],
-                               colors[v.id] < 0, f"piece {v.id}"))
-
-    pending: list[tuple] = []  # (chain ids+weights, left node, right datum)
     for s in sorted(w.stalks, key=lambda s: (s.vertex, s.alpha, s.beta)):
-        chain = attach_chain(s.vertex, s.alpha, s.beta,
-                             f"stalk ({s.alpha},{s.beta}) of {s.vertex}")
-        pending.append((chain, s.vertex, None, None))
+        attach_chain(s.vertex, s.alpha, s.beta, f"stalk ({s.alpha},{s.beta}) of {s.vertex}")
     for a in sorted(w.arrows, key=lambda a: (a.vertex, a.alpha, a.beta)):
         sign = colors[a.vertex]
         if a.alpha == 1:
             arrows.append(Arrow(a.vertex, sign, "binding"))
-            node_weight_terms[a.vertex] += sign
-            continue
-        chain = attach_chain(a.vertex, a.alpha, a.beta,
-                             f"arrow ({a.alpha},{a.beta}) of {a.vertex}",
-                             far_arrow=sign)
-        pending.append((chain, a.vertex, None, sign))
+            terms[a.vertex] += sign
+        else:
+            last, _ = attach_chain(a.vertex, a.alpha, a.beta,
+                                   f"arrow ({a.alpha},{a.beta}) of {a.vertex}", sign)
+            arrows.append(Arrow(last, sign, "binding"))
     for e in sorted(w.edges, key=lambda e: (e.u, e.v, e.alpha, e.beta_u)):
         if e.alpha == 1:
-            edges.append(Edge(e.u, e.v, 1))
-            node_weight_terms[e.u] += mult[e.v]
-            node_weight_terms[e.v] += mult[e.u]
+            edges.append(Edge(e.u, e.v))
+            terms[e.u] += mult[e.v]
+            terms[e.v] += mult[e.u]
             continue
         expansion = neg_cf_expand(e.alpha, e.alpha - e.beta_u)
         reverse = neg_cf_eval(list(reversed(expansion)))
@@ -156,45 +143,24 @@ def synth_plumbing(w: WaldhausenGraph, keep_arrows: bool = False) -> PlumbingTre
                 f"chain reversal duality failure on edge ({e.u}, {e.v}): "
                 f"reversed chain evaluates to {reverse[0]}/{reverse[1]}, "
                 f"expected {e.alpha}/{e.alpha - dual}")
-        chain = attach_chain(e.u, e.alpha, e.beta_u,
-                             f"chain ({e.alpha},{e.beta_u}) from {e.u} to {e.v}")
-        edges.append(Edge(chain[-1][0], e.v, 1))
-        pending.append((chain, e.u, e.v, None))
+        last, last_mult = attach_chain(
+            e.u, e.alpha, e.beta_u, f"chain ({e.alpha},{e.beta_u}) from {e.u} to {e.v}",
+            mult[e.v])
+        edges.append(Edge(last, e.v))
+        terms[e.v] += last_mult
 
-    mult_of_chain: dict[int, int] = {}
-    for chain, left, right, arrow_sign in pending:
-        weights = [wt for _, wt in chain]
-        if right is not None:
-            values = chain_mults(weights, mult[left], right_mult=mult[right])
-            node_weight_terms[right] += values[-1]
-        elif arrow_sign is not None:
-            values = chain_mults(weights, mult[left], arrow_mult=arrow_sign)
-        else:
-            values = chain_mults(weights, mult[left])
-        node_weight_terms[left] += values[0]
-        for (vid, _), value in zip(chain, values):
-            mult_of_chain[vid] = value
-
-    node_weights: dict[int, int] = {}
+    nodes = []
     for v in w.vertices:
-        total = Fraction(node_weight_terms[v.id], mult[v.id])
-        if total.denominator != 1:
+        weight, rest = divmod(-terms[v.id], mult[v.id])
+        if rest:
             raise BalanceError(
                 f"monodromical balance failure: node {v.id} weight "
-                f"-({node_weight_terms[v.id]})/({mult[v.id]}) is not integral",
+                f"-({terms[v.id]})/({mult[v.id]}) is not integral",
                 elements=(v.id,))
-        node_weights[v.id] = -int(total)
-
-    final_vertices = tuple(
-        Vertex(v.id, node_weights[v.id], v.genus, v.mult, v.flipped, v.origin)
-        if v.mult is not None
-        else Vertex(v.id, v.weight, v.genus, mult_of_chain[v.id], False, v.origin)
-        for v in vertices
-    )
-    tree = PlumbingTree(final_vertices, tuple(edges), tuple(arrows))
+        nodes.append(Vertex(v.id, weight, v.genus, mult[v.id], colors[v.id] < 0,
+                            f"piece {v.id}"))
+    tree = PlumbingTree(tuple(nodes + chain_vertices), tuple(edges), tuple(arrows))
     verify_balance(tree)
-    if not keep_arrows:
-        tree = strip_decorations(tree, keep_mults=True)
     return tree
 
 
@@ -208,13 +174,11 @@ def verify_balance(tree: PlumbingTree) -> None:
             elements=bad)
 
 
-def strip_decorations(tree: PlumbingTree, keep_mults: bool = False) -> PlumbingTree:
-    """Drop binding arrows (and optionally multiplicities) for figure-style output."""
-    vertices = tuple(
-        v if keep_mults else Vertex(v.id, v.weight, v.genus, None, False, v.origin)
-        for v in tree.vertices
-    )
-    return PlumbingTree(vertices, tree.edges, ())
+def strip_decorations(tree: PlumbingTree) -> PlumbingTree:
+    """``tree`` without its binding arrows, for figure-style output and for
+    blow-down, which never removes a vertex that carries an arrow; weights,
+    multiplicities and flip flags are kept."""
+    return PlumbingTree(tree.vertices, tree.edges, ())
 
 
 def blow_down(tree: PlumbingTree) -> PlumbingTree:

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import NormalizationError, UnsupportedError
+from .errors import NormalizationError
 from .graphs import (
     NielsenGraph,
     WaldArrow,
@@ -39,6 +39,7 @@ from .graphs import (
     WaldhausenGraph,
     WaldStalk,
     WaldVertex,
+    require_fixed_pieces,
 )
 
 __all__ = ["nielsen_to_waldhausen"]
@@ -65,11 +66,7 @@ def _normalize(beta0: Fraction, alpha: int, sigma0: int, lam: int,
 
 def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
     """Waldhausen graph of the pair (mapping-torus manifold, binding)."""
-    for v in n.vertices:
-        if v.q != 1:
-            raise UnsupportedError(
-                "pieces permuted in orbits of size q > 1 are not supported",
-                elements=(v.id,))
+    require_fixed_pieces(n.vertices)
     order = {v.id: v.order for v in n.vertices}
     euler = {v.id: Fraction(0) for v in n.vertices}
 

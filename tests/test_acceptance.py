@@ -42,6 +42,7 @@ from susplink.resolve import (
 from susplink.synthesis import blow_down, chain_mults, synth_plumbing, verify_balance
 from susplink.waldhausen import nielsen_to_waldhausen
 from conftest import read_input
+from graph_helpers import ls_tuple, weight_multiset
 from nielsen_iso import nielsen_isomorphic
 
 
@@ -99,7 +100,7 @@ def test_criterion_1_example1_end_to_end():
 
     tree = result.plumbing
     assert len(tree.vertices) == 13
-    assert tree.weight_multiset() == {-2: 12, -7: 1}
+    assert weight_multiset(tree) == {-2: 12, -7: 1}
     node_weight = {v.id: v.weight for v in tree.vertices}
     assert node_weight[2] == -2 and node_weight[7] == -2
     assert _legs(tree, 2) == [(-2,), (-2, -2), (-2, -2, -2, -2, -7)]
@@ -180,7 +181,7 @@ def test_criterion_3_reference_canonical_class_on_synthesized_tree():
     assert sorted(K) == sorted(EX3_REFERENCE_K), \
         "synthesized tree has a non-integral canonical class"
     assert k_squared(tree, K) == -33, "reference K^2 differs"
-    assert laufer_steenbrink(tree, 23).as_tuple() == (11, 9, False), \
+    assert ls_tuple(laufer_steenbrink(tree, 23)) == (11, 9, False), \
         "mod-12 test inapplicable on the synthesized tree"
 
 
@@ -210,12 +211,12 @@ def test_criterion_3_reference_k_belongs_to_variant():
     assert sorted(int(k) for k in K) == sorted(EX3_REFERENCE_K)
     assert k_squared(variant, K) == -21
     assert (-21) % 12 == (-33) % 12
-    assert laufer_steenbrink(variant, 23).as_tuple() == (11, 9, False)
+    assert ls_tuple(laufer_steenbrink(variant, 23)) == (11, 9, False)
 
     # the variant cannot carry the binding: its arrow chain multiplicities
     # are not integral (node multiplicity -8, binding contribution -1)
     with pytest.raises(BalanceError):
-        chain_mults([-2, -2], -8, arrow_mult=-1)
+        chain_mults([-2, -2], -8, right_mult=-1)
     _passed("criterion 3 (analysis): reference K data reconstructed on the "
             "variant tree; synthesized tree has non-integral K (see ledger)")
 
@@ -292,7 +293,7 @@ def test_criterion_7_monodromical_self_consistency():
         n = build_nielsen(subtract_and_normalize(
             parse_resolution(read_input(f"{name}.txt"))))
         w = nielsen_to_waldhausen(power_nielsen(n, r))
-        tree = synth_plumbing(w, keep_arrows=True)
+        tree = synth_plumbing(w)
         verify_balance(tree)  # raises on any non-integral or unbalanced vertex
     tree1 = run_pipeline(read_input("ex1.txt"), 3).plumbing
     long_chain = [v.mult for v in tree1.vertices

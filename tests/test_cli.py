@@ -107,7 +107,13 @@ def test_batch_pipeline(capsys):
                     "vertices": [{"id": 1, "weight": "x"}], "edges": []}),
     ("plumbing", {"schema": "susplink/waldhausen:1", "vertices": [{"id": 1, "e": -1}],
                   "stalks": [{"vertex": 1, "alpha": 2}]}),
-], ids=["no_weight", "weight_x", "stalk_no_beta"])
+    ("plumbing", {"schema": "susplink/waldhausen:1",
+                  "vertices": [{"id": 1, "e": -1, "order": 0}],
+                  "arrows": [{"vertex": 1, "alpha": 1, "beta": 0}]}),
+    ("plumbing", {"schema": "susplink/waldhausen:1",
+                  "vertices": [{"id": 1, "e": -1, "q": 2}],
+                  "arrows": [{"vertex": 1, "alpha": 1, "beta": 0}]}),
+], ids=["no_weight", "weight_x", "stalk_no_beta", "order_0", "q_2"])
 def test_malformed_stage_document(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -150,6 +156,10 @@ def test_side_flag(capsys):
     ("ex1_r3_report.txt", ["pipeline", "-r", "3", "--blow-down"]),
     ("ex2_r2_report.txt", ["pipeline", "-r", "2", "--blow-down"]),
     ("ex3_r5_report.txt", ["pipeline", "-r", "5", "--blow-down"]),
+    ("ex1_r3_keep_arrows.json",
+     ["pipeline", "-r", "3", "--keep-arrows", "--blow-down", "--format", "json"]),
+    ("ex2_r2_keep_arrows.json",
+     ["pipeline", "-r", "2", "--keep-arrows", "--blow-down", "--format", "json"]),
 ])
 def test_golden_outputs(capsys, name, argv):
     """Byte-for-byte stability of the reports for the three worked examples."""

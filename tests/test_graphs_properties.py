@@ -8,14 +8,14 @@ from susplink.graphs import (
     PlumbingTree,
     Vertex,
     intersection_matrix,
-    multiplicity_to_plumbing,
     symmetric_rep,
     unbalanced,
 )
 from susplink.invariants import fibre_euler
-from susplink.resolve import normalize_signed, signed_mults, subtract_and_normalize
+from susplink.resolve import normalize_signed, subtract_and_normalize
 from susplink.synthesis import blow_down, normalize_edge_signs
 from dense_linalg import determinant
+from graph_helpers import multiplicity_to_plumbing, signed_mults
 from test_exactlinalg import plumbing_forms
 
 big = st.integers(min_value=-(2 ** 128), max_value=2 ** 128)

@@ -26,6 +26,7 @@ from susplink.invariants import (
 )
 from susplink.resolve import product_multiplicity_tree, subtract_and_normalize
 from susplink.synthesis import blow_down
+from graph_helpers import ls_tuple
 
 
 def adjunction_residual(tree, K):
@@ -100,13 +101,13 @@ def test_laufer_steenbrink_residues():
     assert (18 + -33) % 12 == 9
     tree = PlumbingTree((Vertex(1, -2),))
     ls = laufer_steenbrink(tree, 2)
-    assert ls.applicable and ls.as_tuple() == (2, 2, True)
+    assert ls.applicable and ls_tuple(ls) == (2, 2, True)
 
 
 def test_laufer_steenbrink_inapplicable(ex1_result):
     ls = laufer_steenbrink(ex1_result.plumbing, 19)
     assert not ls.applicable
-    assert ls.as_tuple() == (None, None, None)
+    assert ls_tuple(ls) == (None, None, None)
 
 
 def test_determinant_and_definite(ex1_result, ex2_result, ex3_result):
@@ -169,4 +170,4 @@ def test_ex3_reference_k_belongs_to_variant_tree(ex3_result):
     assert k_squared(variant, K) == -21
     assert (-21 - (-33)) % 12 == 0
     ls = laufer_steenbrink(variant, 23)
-    assert ls.as_tuple() == (11, 9, False)
+    assert ls_tuple(ls) == (11, 9, False)

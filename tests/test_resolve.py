@@ -9,12 +9,11 @@ from susplink.resolve import (
     normalize_signed,
     parse_resolution,
     product_multiplicity_tree,
-    signed_mults,
     solve_monodromical,
     subtract_and_normalize,
-    verify_multiplicity_system,
 )
 from conftest import read_input
+from graph_helpers import signed_mults, verify_multiplicity_system
 
 
 def test_parse_ex1_weights(ex1_graph):

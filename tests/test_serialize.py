@@ -13,7 +13,7 @@ def all_stage_graphs(graph, r):
     n = build_nielsen(mp)
     nr = power_nielsen(n, r)
     w = nielsen_to_waldhausen(nr)
-    tree = synth_plumbing(w, keep_arrows=True)
+    tree = synth_plumbing(w)
     return [graph, mp, n, nr, w, tree]
 
 

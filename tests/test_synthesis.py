@@ -19,12 +19,13 @@ from susplink.synthesis import (
 )
 from susplink.waldhausen import nielsen_to_waldhausen
 from dense_linalg import determinant
+from graph_helpers import weight_multiset
 
 
-def tree_of(graph, r, keep_arrows=True):
+def tree_of(graph, r):
     n = build_nielsen(subtract_and_normalize(graph))
     w = nielsen_to_waldhausen(power_nielsen(n, r))
-    return synth_plumbing(w, keep_arrows=keep_arrows)
+    return synth_plumbing(w)
 
 
 def legs(tree, node):
@@ -62,12 +63,12 @@ def test_chain_mults_long_chain():
 
 
 def test_chain_mults_arrow_end():
-    assert chain_mults([-5], 9, arrow_mult=1) == [2]
+    assert chain_mults([-5], 9, right_mult=1) == [2]
 
 
 def test_chain_mults_non_integral():
     with pytest.raises(BalanceError):
-        chain_mults([-2, -2], -8, arrow_mult=-1)
+        chain_mults([-2, -2], -8, right_mult=-1)
 
 
 # -- synthesized trees -------------------------------------------------------
@@ -76,7 +77,7 @@ def test_ex1_tree(ex1_graph):
     tree = tree_of(ex1_graph, 3)
     plain = strip_decorations(tree)
     assert len(plain.vertices) == 13
-    assert plain.weight_multiset() == {-2: 12, -7: 1}
+    assert weight_multiset(plain) == {-2: 12, -7: 1}
     assert plain.is_tree()
     # node 2: stalk [2], arrow chain [2, 2]; node 7: three [2] stalks;
     # connecting chain [2, 2, 2, 2, 7]
@@ -108,7 +109,7 @@ def test_ex2_tree_is_a_cycle(ex2_graph):
 def test_ex3_tree(ex3_graph):
     tree = strip_decorations(tree_of(ex3_graph, 5))
     assert len(tree.vertices) == 17
-    assert tree.weight_multiset() == {-2: 12, -3: 2, -5: 1, -9: 1, -1: 1}
+    assert weight_multiset(tree) == {-2: 12, -3: 2, -5: 1, -9: 1, -1: 1}
     assert legs(tree, 2) == [(-9, -3, -2, -2, -2, -2, -2, -2, -2), (-5,), (-2, -2)]
     assert legs(tree, 7) == [(-2,), (-2, -3), (-2, -2, -2, -2, -2, -2, -2, -3, -9)]
     node_weights = {v.id: v.weight for v in tree.vertices}
@@ -138,7 +139,7 @@ def test_r1_resynthesizes_the_input(ex1_graph):
     # running the whole loop at r = 1 rebuilds the resolution tree shape
     tree = strip_decorations(tree_of(ex1_graph, 1))
     assert len(tree.vertices) == 8
-    assert tree.weight_multiset() == {-2: 3, -1: 2, -3: 3}
+    assert weight_multiset(tree) == {-2: 3, -1: 2, -3: 3}
     assert abs(determinant(intersection_matrix(tree))) == 1
 
 
@@ -270,9 +271,9 @@ def test_blow_down_rejects_parallel_edge_vertex():
 
 
 def test_keep_arrows(ex1_graph):
-    kept = tree_of(ex1_graph, 3, keep_arrows=True)
+    kept = tree_of(ex1_graph, 3)
     assert len(kept.arrows) == 2
     assert all(a.label == "binding" for a in kept.arrows)
-    dropped = strip_decorations(kept, keep_mults=True)
+    dropped = strip_decorations(kept)
     assert dropped.arrows == ()
     assert [v.mult for v in dropped.vertices] == [v.mult for v in kept.vertices]
