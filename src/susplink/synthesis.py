@@ -15,7 +15,9 @@ whose integrality doubles as a self-check of the whole pipeline.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from dataclasses import replace
 
 from .contfrac import cf_dual, neg_cf_eval, neg_cf_expand
 from .errors import BalanceError, NotATreeError, UnsupportedError
@@ -183,26 +185,81 @@ def strip_decorations(tree: PlumbingTree) -> PlumbingTree:
 
 def blow_down(tree: PlumbingTree) -> PlumbingTree:
     """Repeatedly blow down weight -1, genus-0, arrow-free vertices of
-    valence <= 2 until none is left.
+    valence <= 2, always the first one in vertex order, until none is left.
+    A last remaining vertex is never removed.
 
-    A valence-2 blow-down joins the two neighbours by an edge of sign equal
-    to the product of the removed signs and adds +1 to both their weights; a
-    valence-1 blow-down adds +1 to the neighbour.  |det| of the intersection
-    matrix is asserted invariant at every single step.  A last remaining
-    vertex is never removed.
+    Blowing down a -1 vertex is the Schur complement of the intersection
+    form at it (Neumann's move R1): each neighbour gains +1 on its weight,
+    and at valence 2 the two neighbours are joined by an edge of sign equal
+    to the product of the removed signs, so det A = -det A'.  Every step is
+    checked against that complement in integers: the neighbours' weights,
+    the edge count and the entry joining the two neighbours.  |det| of the
+    whole form is compared once at the start and once at the end.
+
+    Only the neighbours of a removed vertex can become candidates, so the
+    positions still to look at wait in a heap, and the least one is
+    re-checked when it is taken.
     """
+    order = tree.ids
+    position = {vid: i for i, vid in enumerate(order)}
+    weight = {v.id: v.weight for v in tree.vertices}
+    adj = adjacency(order, tree.edges)
+    pinned = {v.id for v in tree.vertices if v.genus} | {a.vertex for a in tree.arrows}
+    worklist = list(range(len(order)))  # sorted, hence a heap
+    det = abs(eliminate(tree).determinant)
     current = tree
-    det = abs(eliminate(current).determinant)
-    while True:
-        candidate = _blow_down_candidate(current)
-        if candidate is None:
-            return current
-        current = _blow_down_once(current, candidate)
+    while len(weight) > 1 and worklist:
+        vid = order[heapq.heappop(worklist)]
+        if weight.get(vid) != -1 or vid in pinned or len(adj[vid]) > 2:
+            continue
+        ends = adj.pop(vid)
+        if len(ends) == 2 and ends[0][0] == ends[1][0]:
+            raise UnsupportedError(
+                "blow-down of a vertex with two parallel edges to one "
+                "neighbour is not supported", elements=(vid,))
+        out = _blow_down_once(current, vid)
+        del weight[vid]
+        for n, s in ends:
+            adj[n].remove((vid, s))
+            weight[n] += 1
+            heapq.heappush(worklist, position[n])
+        if len(ends) == 2:
+            (n1, s1), (n2, s2) = ends
+            adj[n1].append((n2, s1 * s2))
+            adj[n2].append((n1, s1 * s2))
+        if not _is_complement(current, out, ends, weight, adj):
+            after = abs(eliminate(out).determinant)
+            change = (f"changed |det| from {det} to {after}" if after != det
+                      else f"kept |det| = {det}")
+            raise BalanceError(
+                f"blow-down is not the Schur complement at {vid}; it {change}",
+                elements=(vid,))
+        current = out
+    if current is not tree:
         after = abs(eliminate(current).determinant)
         if after != det:
-            raise BalanceError(
-                f"blow-down changed |det| from {det} to {after}",
-                elements=(candidate,))
+            raise BalanceError(f"blow-down changed |det| from {det} to {after}")
+    return current
+
+
+def _is_complement(before: PlumbingTree, after: PlumbingTree, ends,
+                   weight: dict[int, int], adj) -> bool:
+    """Whether ``after`` is ``before`` with one vertex, whose (neighbour,
+    sign) ends were ``ends``, replaced by its Schur complement: the
+    neighbours weigh as in ``weight``, one edge per end is gone and one
+    joins two ends, and the entry between them is the one ``adj`` gives."""
+    nbrs = {n for n, _ in ends}
+    if (len(after.vertices) != len(before.vertices) - 1
+            or len(after.edges) != len(before.edges) - len(ends) + (len(ends) == 2)
+            or {v.id: v.weight for v in after.vertices if v.id in nbrs}
+            != {n: weight[n] for n in nbrs}):
+        return False
+    if len(ends) < 2:
+        return True
+    (n1, _), (n2, _) = ends
+    joined = ((n1, n2), (n2, n1))
+    return (sum(e.sign for e in after.edges if (e.u, e.v) in joined)
+            == sum(s for n, s in adj[n1] if n == n2))
 
 
 def reduce_tree(tree: PlumbingTree) -> PlumbingTree:
@@ -212,45 +269,24 @@ def reduce_tree(tree: PlumbingTree) -> PlumbingTree:
     return blow_down(tree)
 
 
-def _blow_down_candidate(tree: PlumbingTree) -> int | None:
-    if len(tree.vertices) <= 1:
-        return None
-    arrowed = {a.vertex for a in tree.arrows}
-    adj = adjacency(tree.ids, tree.edges)
-    for v in tree.vertices:
-        if v.weight != -1 or v.genus != 0 or v.id in arrowed:
-            continue
-        nbrs = adj[v.id]
-        if len(nbrs) > 2:
-            continue
-        if len(nbrs) == 2 and nbrs[0][0] == nbrs[1][0]:
-            raise UnsupportedError(
-                "blow-down of a vertex with two parallel edges to one "
-                "neighbour is not supported", elements=(v.id,))
-        return v.id
-    return None
-
-
 def _blow_down_once(tree: PlumbingTree, vid: int) -> PlumbingTree:
-    incident = [e for e in tree.edges if vid in (e.u, e.v)]
-    others = [e for e in tree.edges if vid not in (e.u, e.v)]
-    bump = {}
-    new_edges = list(others)
-    if len(incident) == 2:
-        (n1, s1), (n2, s2) = [
-            (e.v if e.u == vid else e.u, e.sign) for e in incident
-        ]
-        bump = {n1: 1, n2: 1}
-        new_edges.append(Edge(n1, n2, s1 * s2))
-    elif len(incident) == 1:
-        n1 = incident[0].v if incident[0].u == vid else incident[0].u
-        bump = {n1: 1}
-    vertices = tuple(
-        Vertex(v.id, v.weight + bump.get(v.id, 0), v.genus, v.mult,
-               v.flipped, v.origin)
-        for v in tree.vertices if v.id != vid
-    )
-    return PlumbingTree(vertices, tuple(new_edges), tree.arrows)
+    """``tree`` with the vertex ``vid`` of valence <= 2 blown down; only its
+    neighbours are rebuilt, and a joining edge goes last."""
+    edges, ends = [], []
+    for e in tree.edges:
+        if e.u == vid:
+            ends.append((e.v, e.sign))
+        elif e.v == vid:
+            ends.append((e.u, e.sign))
+        else:
+            edges.append(e)
+    if len(ends) == 2:
+        (n1, s1), (n2, s2) = ends
+        edges.append(Edge(n1, n2, s1 * s2))
+    bumped = {n for n, _ in ends}
+    vertices = tuple(replace(v, weight=v.weight + 1) if v.id in bumped else v
+                     for v in tree.vertices if v.id != vid)
+    return PlumbingTree(vertices, tuple(edges), tree.arrows)
 
 
 def normalize_edge_signs(tree: PlumbingTree) -> PlumbingTree:

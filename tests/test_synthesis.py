@@ -3,9 +3,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
-from susplink.errors import BalanceError, NotATreeError
+from susplink.errors import BalanceError, NotATreeError, PlumbingError
 from susplink import synthesis
-from susplink.graphs import Edge, PlumbingTree, Vertex, intersection_matrix
+from susplink.exactlinalg import eliminate
+from susplink.graphs import Arrow, Edge, PlumbingTree, Vertex, intersection_matrix
 from susplink.nielsen import build_nielsen
 from susplink.power import power_nielsen
 from susplink.resolve import subtract_and_normalize
@@ -18,8 +19,10 @@ from susplink.synthesis import (
     verify_balance,
 )
 from susplink.waldhausen import nielsen_to_waldhausen
+import blowdown_reference
 from dense_linalg import determinant
 from graph_helpers import weight_multiset
+from test_exactlinalg import plumbing_forms
 
 
 def tree_of(graph, r):
@@ -189,6 +192,99 @@ def test_blow_down_checks_every_step(monkeypatch):
     with pytest.raises(BalanceError, match=r"changed \|det\| from 1 to 3"):
         blow_down(tree)
     assert steps == [1, 2]
+
+
+def _chain(weights):
+    return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights, 1)),
+                        tuple(Edge(i, i + 1) for i in range(1, len(weights))))
+
+
+def test_blow_down_checks_the_joining_sign(monkeypatch):
+    """On a tree, a joining edge of sign -s1*s2 leaves |det| unchanged; the
+    Schur-complement check still rejects it."""
+    real = synthesis._blow_down_once
+
+    def wrong_sign(tree, vid):
+        out = real(tree, vid)
+        if sum(vid in (e.u, e.v) for e in tree.edges) == 2:  # the joining edge is last
+            last = out.edges[-1]
+            out = PlumbingTree(out.vertices,
+                               out.edges[:-1] + (replace(last, sign=-last.sign),), out.arrows)
+        return out
+
+    monkeypatch.setattr(synthesis, "_blow_down_once", wrong_sign)
+    tree = _chain([-2, -1, -3])
+    assert abs(determinant(intersection_matrix(wrong_sign(tree, 2)))) == 1
+    with pytest.raises(BalanceError, match=r"not the Schur complement at 2; it kept \|det\| = 1"):
+        blow_down(tree)
+
+
+def test_blow_down_checks_det_at_the_end(monkeypatch):
+    """A corrupted vertex away from the step passes the local check and is
+    caught by the |det| comparison after the last step."""
+    real = synthesis._blow_down_once
+    steps = []
+
+    def far_corruption(tree, vid):
+        out = real(tree, vid)
+        steps.append(vid)
+        if vid == 1:
+            last = out.vertices[-1]
+            out = PlumbingTree(out.vertices[:-1] + (replace(last, weight=last.weight - 1),),
+                               out.edges, out.arrows)
+        return out
+
+    monkeypatch.setattr(synthesis, "_blow_down_once", far_corruption)
+    with pytest.raises(BalanceError, match=r"^blow-down changed \|det\| from 9 to 11$"):
+        blow_down(_chain([-1, -2, -3, -5]))
+    assert steps == [1, 2]
+
+
+def test_blow_down_eliminates_twice(monkeypatch):
+    """199 blow-downs, one elimination at the start and one at the end."""
+    calls = []
+
+    def counting(graph, rhs=None):
+        calls.append(len(graph.vertices))
+        return eliminate(graph, rhs)
+
+    monkeypatch.setattr(synthesis, "eliminate", counting)
+    reduced = blow_down(_chain([-1] + [-2] * 199))
+    assert reduced == PlumbingTree((Vertex(200, -1),))
+    assert calls == [200, 1]
+
+
+@st.composite
+def decorated_forms(draw):
+    """``plumbing_forms`` (signed edges, cycles, parallel edges) with many
+    -1 weights, a run of -1 over consecutive ids, and some vertices of
+    positive genus or carrying arrows."""
+    form = draw(plumbing_forms(max_vertices=10,
+                               weight=st.sampled_from((-3, -2, -2, -1, -1, -1, 0, 1))))
+    n = len(form.vertices)
+    lo = draw(st.integers(0, n - 1))
+    run = range(lo, draw(st.integers(lo, n)))
+    genus = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    vertices = tuple(replace(v, weight=-1 if v.id in run else v.weight,
+                             genus=1 if v.id in genus else 0)
+                     for v in form.vertices)
+    arrows = tuple(Arrow(i, draw(st.sampled_from((1, -1))))
+                   for i in draw(st.lists(st.integers(0, n - 1), max_size=2)))
+    return PlumbingTree(vertices, form.edges, arrows)
+
+
+def _outcome(reduce, tree):
+    try:
+        return reduce(tree)
+    except PlumbingError as e:
+        return type(e)
+
+
+@given(decorated_forms())
+def test_blow_down_matches_reference(tree):
+    """The worklist kernel gives exactly the reference's tree, vertex and
+    edge order included, or the same error."""
+    assert _outcome(blow_down, tree) == _outcome(blowdown_reference.blow_down, tree)
 
 
 @st.composite
