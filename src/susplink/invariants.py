@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import MonodromyError, PlumbingError
 from .exactlinalg import Elimination, eliminate
@@ -59,12 +60,16 @@ def canonical_class(tree: PlumbingTree) -> list[Fraction]:
 
 
 def is_num_gorenstein(K) -> bool:
-    return all(Fraction(k).denominator == 1 for k in K)
+    return all(k.denominator == 1 for k in K)
 
 
 def k_squared(tree: PlumbingTree, K) -> Fraction:
-    """K^T A K = K.d for the canonical class K of ``tree``, as A*K = d."""
-    return sum((k * d for k, d in zip(K, _adjunction_rhs(tree))), Fraction(0))
+    """K^T A K = K.d for the canonical class K of ``tree``, as A*K = d,
+    summed in integers over the common denominator of K."""
+    den = lcm(*(k.denominator for k in K))
+    total = sum(k.numerator * (den // k.denominator) * d
+                for k, d in zip(K, _adjunction_rhs(tree)))
+    return Fraction(total, den)
 
 
 def chi_resolution(tree: PlumbingTree) -> int:

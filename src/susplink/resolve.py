@@ -14,7 +14,6 @@ edge sign wherever a flipped region meets an unflipped one.
 
 from __future__ import annotations
 
-import shlex
 from collections import Counter
 
 from .errors import FibrednessError, InputError, MonodromyError
@@ -51,11 +50,7 @@ def parse_resolution(text: str) -> ResolutionGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            tokens = shlex.split(line)
-        except ValueError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-        kind, args = tokens[0], tokens[1:]
+        kind, *args = line.split()
         try:
             if kind == "vertex":
                 vertices.append(_parse_vertex(args))

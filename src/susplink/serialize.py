@@ -47,8 +47,8 @@ SCHEMAS = {
 
 
 def frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as ``n`` or ``n/d``."""
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------

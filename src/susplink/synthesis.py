@@ -18,9 +18,10 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import replace
+from fractions import Fraction
 
 from .contfrac import cf_dual, neg_cf_eval, neg_cf_expand
-from .errors import BalanceError, NotATreeError, UnsupportedError
+from .errors import BalanceError, MonodromyError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
 from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, adjacency,
                      require_fixed_pieces, unbalanced)
@@ -37,21 +38,37 @@ def chain_mults(weights, left_mult: int, right_mult: int = 0) -> list[int]:
     of a neighbouring vertex, that of a binding arrow, or 0 at a leaf.  Both
     enter the balance of their end vertex as constants.  Raises BalanceError
     when the solution is not integral.
+
+    The balance w_i*m_i + m_(i-1) + m_(i+1) = 0 is a three-term recurrence:
+    with m_0 = ``left_mult`` every m_i is p_i*m_1 + q_i in integers, and
+    m_(k+1) = ``right_mult`` fixes m_1.  p_(k+1) is, up to sign, the
+    determinant of the chain's form, so the system is singular iff it is 0.
     """
     if not weights:
         raise ValueError("empty chain")
-    k = len(weights)
-    path = PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights)),
-                        tuple(Edge(i, i + 1) for i in range(k - 1)))
-    rhs = [0] * k
-    rhs[0] -= left_mult
-    rhs[-1] -= right_mult
-    solution = eliminate(path, rhs).solution
-    if any(x.denominator != 1 for x in solution):
+    p0, q0, p1, q1 = 0, left_mult, 1, 0
+    for w in weights:
+        p0, q0, p1, q1 = p1, q1, -w * p1 - p0, -w * q1 - q0
+    if p1 == 0:
+        raise MonodromyError("degenerate monodromical system: singular matrix")
+    first, rest = divmod(right_mult - q1, p1)
+    if rest:
+        solution = _chain_values(weights, left_mult, Fraction(right_mult - q1, p1))
         raise BalanceError(
             f"monodromical balance failure: chain {list(weights)} with end data "
             f"({left_mult}, {right_mult}) has non-integral multiplicities {solution}")
-    return [int(x) for x in solution]
+    return _chain_values(weights, left_mult, first)
+
+
+def _chain_values(weights, left_mult, first):
+    """m_1, ..., m_k of the recurrence from m_0 = ``left_mult`` and
+    m_1 = ``first``."""
+    values = [first]
+    prev, cur = left_mult, first
+    for w in weights[:-1]:
+        prev, cur = cur, -w * cur - prev
+        values.append(cur)
+    return values
 
 
 def _two_colouring(ids, signed_edges) -> dict[int, int]:

@@ -55,6 +55,31 @@ def test_canonical_class_solves_adjunction(ex1_result, ex3_result):
         assert k_squared(tree, K) == sum(k * x for k, x in zip(K, d))
 
 
+@st.composite
+def weighted_k_vectors(draw):
+    """Vertices of random weights and genera (all ``k_squared`` reads of a
+    tree) with a random K vector: all Fractions, or all ints."""
+    n = draw(st.integers(1, 12))
+    vertices = tuple(Vertex(i, draw(st.integers(-9, 3)), draw(st.integers(0, 2)))
+                     for i in range(n))
+    if draw(st.booleans()):
+        entry = st.integers(-50, 50)
+    else:
+        entry = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+    K = draw(st.lists(entry, min_size=n, max_size=n))
+    return PlumbingTree(vertices, ()), K
+
+
+@given(weighted_k_vectors())
+def test_k_squared_is_the_plain_fraction_sum(tree_and_K):
+    tree, K = tree_and_K
+    d = [-v.weight - 2 + 2 * v.genus for v in tree.vertices]
+    plain = sum((Fraction(k) * x for k, x in zip(K, d)), Fraction(0))
+    ksq = k_squared(tree, K)
+    assert ksq == plain and isinstance(ksq, Fraction)
+    assert is_num_gorenstein(K) == all(Fraction(k).denominator == 1 for k in K)
+
+
 def test_ex1_not_numerically_gorenstein(ex1_result):
     assert not ex1_result.obstructions.numerically_gorenstein
     assert not ex1_result.obstructions.ls_applicable

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from susplink.errors import FibrednessError, InputError, MonodromyError, NotATreeError
+from susplink.errors import (FibrednessError, InputError, MonodromyError, NotATreeError,
+                             PlumbingError)
 from susplink.graphs import ResolutionGraph, ResVertex
 from susplink.resolve import (
     check_fibred,
@@ -39,6 +40,50 @@ def test_parse_errors():
         parse_resolution("vertex 1 weight=-2\nvertex 1 weight=-3\n")
     with pytest.raises(InputError, match="mult"):
         parse_resolution("vertex 1 weight=-1\narrow 1 side=f mult=-1\n")
+
+
+@pytest.mark.parametrize("name", ["ex1.txt", "ex2.txt", "ex3.txt", "cusp.txt"])
+def test_parse_any_whitespace_and_trailing_comments(name):
+    """Tabs, runs of spaces and trailing comments give the same graph."""
+    text = read_input(name)
+    spaced = "\n".join("\t " + line.replace(" ", " \t  ") + "\t# trailing note 'x\\"
+                       for line in text.splitlines())
+    assert parse_resolution(spaced) == parse_resolution(text)
+
+
+@pytest.mark.parametrize("line", [
+    'vertex 1 weight="-2"',
+    "edge 1 '2",
+    "vertex 1 weight=\\-2",
+    'arrow 1 side="f"',
+    "vertex 1 weight=-2 genus='0'",
+])
+def test_parse_quotes_and_backslashes_are_not_syntax(line):
+    """The grammar has no quoting: a quote or a backslash is part of its
+    token, which then fails to parse on the line it is on."""
+    with pytest.raises(InputError, match="^line 2: "):
+        parse_resolution("vertex 9 weight=-1\n" + line + "\n")
+
+
+_TOKENS = st.sampled_from([
+    "vertex", "edge", "arrow", "vortex", "1", "2", "3", "-1", "0", "x", "=",
+    "weight=-2", "weight=-1", "weight=", "genus=0", "genus=1", "mf=1", "mg=0",
+    "side=f", "side=g", "side=h", "mult=1", "mult=-1", "mult=+1", "color=2",
+    '"', "'", "\\", '"-2"', "'1'", "weight=\"-2\"", "#", "==", ";", ",",
+    "(", ")", "1.5", "1_0", "--", "\u00a0", "\x0c",
+])
+
+
+@given(st.lists(st.lists(_TOKENS, max_size=6), max_size=8),
+       st.sampled_from([" ", "\t", "  ", " \t "]))
+def test_parse_fuzz_ends_in_graph_or_plumbing_error(lines, sep):
+    """Every text built of directive tokens, key=value items, quotes and
+    stray punctuation parses to a graph or raises a PlumbingError."""
+    text = "\n".join(sep.join(tokens) for tokens in lines)
+    try:
+        assert isinstance(parse_resolution(text), ResolutionGraph)
+    except PlumbingError:
+        pass
 
 
 def test_all_or_none_multiplicities():

@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from susplink.errors import BalanceError, NotATreeError, PlumbingError
 from susplink import synthesis
@@ -20,6 +20,7 @@ from susplink.synthesis import (
 )
 from susplink.waldhausen import nielsen_to_waldhausen
 import blowdown_reference
+import chain_reference
 from dense_linalg import determinant
 from graph_helpers import weight_multiset
 from test_exactlinalg import plumbing_forms
@@ -72,6 +73,40 @@ def test_chain_mults_arrow_end():
 def test_chain_mults_non_integral():
     with pytest.raises(BalanceError):
         chain_mults([-2, -2], -8, right_mult=-1)
+
+
+def _chain_outcome(solve, weights, left, right):
+    try:
+        return solve(weights, left, right)
+    except PlumbingError as e:
+        return type(e), str(e)
+
+
+@given(st.lists(st.integers(-6, 2), min_size=1, max_size=40),
+       st.integers(-20, 20), st.integers(-20, 20))
+@example([-1, -1], 3, 4)
+@example([0], 0, 0)
+@example([-2, -1, -2], 5, -5)
+def test_chain_mults_matches_reference(weights, left, right):
+    """The recurrence gives the oracle's multiplicities, or the same error
+    with the same message (the rational solution of a BalanceError, the
+    singular form of a MonodromyError)."""
+    assert (_chain_outcome(chain_mults, weights, left, right)
+            == _chain_outcome(chain_reference.chain_mults, weights, left, right))
+
+
+def test_chain_mults_never_eliminates(monkeypatch):
+    """A chain of 10^4 vertices is solved by its recurrence alone."""
+    calls = []
+
+    def counting(graph, rhs=None):
+        calls.append(len(graph.vertices))
+        return eliminate(graph, rhs)
+
+    monkeypatch.setattr(synthesis, "eliminate", counting)
+    n = 10 ** 4
+    assert chain_mults([-2] * n, n + 1) == list(range(n, 0, -1))
+    assert calls == []
 
 
 # -- synthesized trees -------------------------------------------------------
