@@ -11,9 +11,11 @@ from .graphs import (
 )
 from .invariants import ObstructionReport
 from .pipeline import PipelineResult
-from .serialize import frac_str, to_dict
+from .serialize import element_dicts, frac_str, to_dict
 
 REPORT_SCHEMA = "susplink/report:1"
+# the stage graphs of a report, in pipeline order; blowdown only when run
+_STAGES = ("multiplicity", "nielsen", "nielsen_power", "waldhausen", "plumbing", "blowdown")
 
 
 def _val(lam: int, sigma: int) -> str:
@@ -158,42 +160,14 @@ def render_text(result: PipelineResult) -> str:
 
 
 def obstructions_to_dict(o: ObstructionReport) -> dict:
-    out = {
-        "K": [frac_str(k) for k in o.K],
-        "K_squared": frac_str(o.K_squared),
-        "numerically_gorenstein": o.numerically_gorenstein,
-        "chi_resolution": o.chi_resolution,
-        "chi_fibre_fg": o.chi_fibre_fg,
-        "fibre_genus": o.fibre_genus,
-        "fibre_boundary": o.fibre_boundary,
-        "chi_fibre_F": o.chi_fibre_F,
-        "wedge_spheres": o.wedge_spheres,
-        "ls_applicable": o.ls_applicable,
-        "ls_left": o.ls_left,
-        "ls_right": o.ls_right,
-        "ls_congruent": o.ls_congruent,
-        "negative_definite": o.negative_definite,
-        "determinant": o.determinant,
-    }
-    if o.product_chi is not None:
-        out["product_chi"] = o.product_chi
-        out["product_genus"] = o.product_genus
-        out["product_boundary"] = o.product_boundary
-    return out
+    return element_dicts(ObstructionReport, (o,))[0]
 
 
 def render_json_dict(result: PipelineResult | None) -> dict:
     if result is None:
         return {"schema": REPORT_SCHEMA}
-    stages = {
-        "multiplicity": to_dict(result.multiplicity),
-        "nielsen": to_dict(result.nielsen),
-        "nielsen_power": to_dict(result.nielsen_power),
-        "waldhausen": to_dict(result.waldhausen),
-        "plumbing": to_dict(result.plumbing),
-    }
-    if result.blowdown is not None:
-        stages["blowdown"] = to_dict(result.blowdown)
+    stages = {name: to_dict(getattr(result, name)) for name in _STAGES
+              if getattr(result, name) is not None}
     return {
         "schema": REPORT_SCHEMA,
         "r": result.r,

@@ -10,8 +10,10 @@ symmetric representative so figures can be matched by eye.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import MISSING, fields
 from fractions import Fraction
+from functools import cache
 
 from .errors import InputError
 from .graphs import (
@@ -37,13 +39,23 @@ from .graphs import (
     symmetric_rep,
 )
 
-SCHEMAS = {
-    ResolutionGraph: "susplink/resolution:1",
-    MultPlumbing: "susplink/multiplicity:1",
-    NielsenGraph: "susplink/nielsen:1",
-    WaldhausenGraph: "susplink/waldhausen:1",
-    PlumbingTree: "susplink/plumbing:1",
+# Each graph class: its schema tag, the lists a document must carry, and the
+# element class of each list field in field order (None: [u, v] id pairs).
+_DOCUMENTS = {
+    ResolutionGraph: ("susplink/resolution:1", ("vertices", "edges"),
+                      {"vertices": ResVertex, "edges": None, "arrows": ResArrow}),
+    MultPlumbing: ("susplink/multiplicity:1", ("vertices", "edges"),
+                   {"vertices": MultVertex, "edges": Edge, "arrows": Arrow}),
+    NielsenGraph: ("susplink/nielsen:1", ("vertices",),
+                   {"vertices": NielsenVertex, "stalks": Stalk,
+                    "boundary_stalks": BoundaryStalk, "edges": NielsenEdge}),
+    WaldhausenGraph: ("susplink/waldhausen:1", ("vertices",),
+                      {"vertices": WaldVertex, "stalks": WaldStalk, "arrows": WaldArrow,
+                       "edges": WaldEdge}),
+    PlumbingTree: ("susplink/plumbing:1", ("vertices", "edges"),
+                   {"vertices": Vertex, "edges": Edge, "arrows": Arrow}),
 }
+SCHEMAS = {cls: tag for cls, (tag, _, _) in _DOCUMENTS.items()}
 
 
 def frac_str(x) -> str:
@@ -55,84 +67,45 @@ def frac_str(x) -> str:
 # to dict
 # ---------------------------------------------------------------------------
 
+_FRACTION_WRITERS = {"Fraction": frac_str,
+                     "tuple[Fraction, ...]": lambda xs: [frac_str(x) for x in xs]}
+
+
+@cache
+def _layout(cls) -> tuple[tuple, tuple]:
+    """The fields of ``cls`` left out while they hold their None, False or
+    "" default, and its fraction fields with their writers."""
+    return (tuple((f.name, f.default) for f in fields(cls)
+                  if f.default is None or f.default is False or f.default == ""),
+            tuple((f.name, _FRACTION_WRITERS[f.type]) for f in fields(cls)
+                  if f.type in _FRACTION_WRITERS))
+
+
+def element_dicts(cls, items) -> list[dict]:
+    """Each of ``items``, all of dataclass ``cls``, as a JSON object: fields
+    in dataclass order, fractions through frac_str, and a field left out
+    while it holds its None, False or "" default."""
+    omitted, fractions = _layout(cls)
+    out = [vars(x).copy() for x in items]
+    if omitted or fractions:
+        for d in out:
+            for name, default in omitted:
+                if d[name] == default:
+                    del d[name]
+            for name, write in fractions:
+                d[name] = write(d[name])
+    return out
+
+
 def to_dict(graph) -> dict:
-    if isinstance(graph, ResolutionGraph):
-        return {
-            "schema": SCHEMAS[ResolutionGraph],
-            "vertices": [
-                {"id": v.id, "weight": v.weight, "genus": v.genus,
-                 **({"mf": v.mf, "mg": v.mg} if v.mf is not None else {})}
-                for v in graph.vertices
-            ],
-            "edges": [[u, v] for u, v in graph.edges],
-            "arrows": [{"vertex": a.vertex, "side": a.side, "mult": a.mult}
-                       for a in graph.arrows],
-        }
-    if isinstance(graph, MultPlumbing):
-        return {
-            "schema": SCHEMAS[MultPlumbing],
-            "vertices": [
-                {"id": v.id, "weight": v.weight, "genus": v.genus,
-                 "m": v.m, "flipped": v.flipped}
-                for v in graph.vertices
-            ],
-            "edges": [{"u": e.u, "v": e.v, "sign": e.sign} for e in graph.edges],
-            "arrows": [{"vertex": a.vertex, "mult": a.mult} for a in graph.arrows],
-        }
-    if isinstance(graph, NielsenGraph):
-        return {
-            "schema": SCHEMAS[NielsenGraph],
-            "vertices": [
-                {"id": v.id, "order": v.order, "genus": v.genus, "q": v.q}
-                for v in graph.vertices
-            ],
-            "stalks": [{"vertex": s.vertex, "lam": s.lam, "sigma": s.sigma}
-                       for s in graph.stalks],
-            "boundary_stalks": [
-                {"vertex": b.vertex, "lam": b.lam, "sigma": b.sigma,
-                 "twist": frac_str(b.twist)}
-                for b in graph.boundary_stalks
-            ],
-            "edges": [
-                {"u": e.u, "v": e.v, "twist": frac_str(e.twist),
-                 "lam_u": e.lam_u, "sigma_u": e.sigma_u,
-                 "lam_v": e.lam_v, "sigma_v": e.sigma_v}
-                for e in graph.edges
-            ],
-        }
-    if isinstance(graph, WaldhausenGraph):
-        return {
-            "schema": SCHEMAS[WaldhausenGraph],
-            "vertices": [
-                {"id": v.id, "e": v.e, "genus": v.genus, "q": v.q,
-                 "order": v.order}
-                for v in graph.vertices
-            ],
-            "stalks": [{"vertex": s.vertex, "alpha": s.alpha, "beta": s.beta}
-                       for s in graph.stalks],
-            "arrows": [{"vertex": a.vertex, "alpha": a.alpha, "beta": a.beta}
-                       for a in graph.arrows],
-            "edges": [
-                {"u": e.u, "v": e.v, "eps": e.eps, "alpha": e.alpha,
-                 "beta_u": e.beta_u, "beta_v": e.beta_v}
-                for e in graph.edges
-            ],
-        }
-    if isinstance(graph, PlumbingTree):
-        return {
-            "schema": SCHEMAS[PlumbingTree],
-            "vertices": [
-                {"id": v.id, "weight": v.weight, "genus": v.genus,
-                 **({"mult": v.mult} if v.mult is not None else {}),
-                 **({"flipped": True} if v.flipped else {}),
-                 **({"origin": v.origin} if v.origin else {})}
-                for v in graph.vertices
-            ],
-            "edges": [{"u": e.u, "v": e.v, "sign": e.sign} for e in graph.edges],
-            "arrows": [{"vertex": a.vertex, "mult": a.mult, "label": a.label}
-                       for a in graph.arrows],
-        }
-    raise TypeError(f"cannot serialize {type(graph).__name__}")
+    if type(graph) not in _DOCUMENTS:
+        raise TypeError(f"cannot serialize {type(graph).__name__}")
+    tag, _, lists = _DOCUMENTS[type(graph)]
+    out = {"schema": tag}
+    for key, cls in lists.items():
+        items = getattr(graph, key)
+        out[key] = [[u, v] for u, v in items] if cls is None else element_dicts(cls, items)
+    return out
 
 
 def to_json(graph, indent: int | None = 2) -> str:
@@ -145,34 +118,61 @@ def to_json(graph, indent: int | None = 2) -> str:
 
 _JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,),
                "str": (str,)}
+# rationals exactly as frac_str writes them
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def _objects(data: dict, key: str, required: bool = False) -> list:
+# Defaults for fields without a dataclass default: a document may leave out
+# genus and flipped, and a resolution arrow's mult follows from its side.
+_READ_DEFAULTS = {"genus": 0, "flipped": False,
+                  "mult": lambda item: 1 if item.get("side") == "f" else -1}
+
+
+@cache
+def _spec(cls) -> tuple:
+    """Per field of ``cls``: name, read default (MISSING when required),
+    type, and the JSON types read as they are."""
+    return tuple((f.name, _READ_DEFAULTS.get(f.name, MISSING) if f.default is MISSING
+                  else f.default, f.type, _JSON_TYPES.get(f.type, ())) for f in fields(cls))
+
+
+def _fraction(value) -> Fraction | None:
+    """An int, or a string ``n`` or ``n/d`` with d != 0, as a Fraction."""
+    try:
+        return Fraction(value) if type(value) is int or (
+            type(value) is str and _RATIONAL.fullmatch(value)) else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _list(data: dict, key: str, cls, required: bool) -> tuple:
+    """List ``key`` of ``data``: [u, v] pairs when ``cls`` is None, else
+    ``cls`` elements from JSON objects keyed by its fields.  InputError when
+    a field without default is missing or holds a value of another type."""
     items = data.get(key, None if required else [])
+    if cls is None:
+        if not isinstance(items, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
+                for e in items):
+            raise InputError(f"field {key!r} must be a list of [u, v] vertex id pairs")
+        return tuple((u, v) for u, v in items)
     if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
         raise InputError(f"field {key!r} must be a list of objects")
-    return items
-
-
-def _elements(cls, items: list, **defaults) -> tuple:
-    """Graph elements from JSON objects keyed by the fields of ``cls``;
-    InputError when a field without default is missing or holds a value
-    of another type."""
-    spec = [(f.name, defaults.get(f.name, f.default), f.type) for f in fields(cls)]
+    spec = _spec(cls)
     elements = []
     for item in items:
         values = []
-        for name, default, kind in spec:
+        for name, default, kind, types in spec:
             value = item.get(name, default)
-            if value is MISSING:
-                raise InputError(f"missing field {name!r} in {item}")
-            if kind == "Fraction":
-                try:
-                    value = Fraction(value)
-                except (TypeError, ValueError, ZeroDivisionError, OverflowError):
-                    raise InputError(f"field {name!r} must be a fraction in {item}") from None
-            elif type(value) not in _JSON_TYPES[kind]:
-                raise InputError(f"field {name!r} must be {kind} in {item}")
+            if type(value) not in types:
+                if value is MISSING:
+                    raise InputError(f"missing field {name!r} in {item}")
+                if callable(value):
+                    value = value(item)
+                elif kind != "Fraction":
+                    raise InputError(f"field {name!r} must be {kind} in {item}")
+                elif (value := _fraction(value)) is None:
+                    raise InputError(f"field {name!r} must be a fraction n or n/d in {item}")
             values.append(value)
         elements.append(cls(*values))
     return tuple(elements)
@@ -182,51 +182,17 @@ def from_dict(data: dict):
     if not isinstance(data, dict):
         raise InputError("expected a JSON object")
     schema = data.get("schema")
-    if schema == SCHEMAS[ResolutionGraph]:
-        edges = data.get("edges")
-        if not isinstance(edges, list) or not all(
-                isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)
-                for e in edges):
-            raise InputError("field 'edges' must be a list of [u, v] vertex id pairs")
-        return ResolutionGraph(
-            _elements(ResVertex, _objects(data, "vertices", True)),
-            tuple((u, v) for u, v in edges),
-            _elements(ResArrow, [{"mult": 1 if a.get("side") == "f" else -1, **a}
-                                 for a in _objects(data, "arrows")]),
-        )
-    if schema == SCHEMAS[MultPlumbing]:
-        return MultPlumbing(
-            _elements(MultVertex, _objects(data, "vertices", True), genus=0, flipped=False),
-            _elements(Edge, _objects(data, "edges", True)),
-            _elements(Arrow, _objects(data, "arrows")),
-        )
-    if schema == SCHEMAS[NielsenGraph]:
-        return NielsenGraph(
-            _elements(NielsenVertex, _objects(data, "vertices", True), genus=0),
-            _elements(Stalk, _objects(data, "stalks")),
-            _elements(BoundaryStalk, _objects(data, "boundary_stalks")),
-            _elements(NielsenEdge, _objects(data, "edges")),
-        )
-    if schema == SCHEMAS[WaldhausenGraph]:
-        return WaldhausenGraph(
-            _elements(WaldVertex, _objects(data, "vertices", True), genus=0),
-            _elements(WaldStalk, _objects(data, "stalks")),
-            _elements(WaldArrow, _objects(data, "arrows")),
-            _elements(WaldEdge, _objects(data, "edges")),
-        )
-    if schema == SCHEMAS[PlumbingTree]:
-        return PlumbingTree(
-            _elements(Vertex, _objects(data, "vertices", True)),
-            _elements(Edge, _objects(data, "edges", True)),
-            _elements(Arrow, _objects(data, "arrows")),
-        )
+    for graph_cls, (tag, required, lists) in _DOCUMENTS.items():
+        if tag == schema:
+            return graph_cls(**{key: _list(data, key, cls, key in required)
+                                for key, cls in lists.items()})
     raise InputError(f"unknown or missing schema {schema!r}")
 
 
 def from_json(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: syntax, or too many digits
         raise InputError(f"invalid JSON: {exc}") from exc
     return from_dict(data)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,24 @@ def test_malformed_stage_document(tmp_path, capsys, command, doc):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error [{command}] ")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('{"schema": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested_1e5_deep"),
+    pytest.param('{"schema": "susplink/plumbing:1", "vertices": [{"id": ' + "9" * 5000
+                 + ', "weight": -1}], "edges": []}', id="int_of_5000_digits",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="this interpreter converts ints of any length")),
+])
+def test_json_past_the_decoder_limits_is_an_input_error(tmp_path, capsys, text):
+    """JSON nested deeper than the decoder recurses, or holding an integer
+    with more digits than int() converts, is an input error, not a crash."""
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "invariants", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error [invariants] invalid JSON: ")
 
 
 @pytest.mark.parametrize("command", ["pipeline", "step1", "invariants"])

@@ -1,9 +1,36 @@
 import json
+from dataclasses import fields
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import read_input
+from susplink.errors import InputError, PlumbingError
+from susplink.graphs import (
+    Arrow,
+    BoundaryStalk,
+    Edge,
+    MultVertex,
+    NielsenEdge,
+    NielsenVertex,
+    PlumbingTree,
+    ResArrow,
+    ResVertex,
+    Stalk,
+    Vertex,
+    WaldArrow,
+    WaldEdge,
+    WaldStalk,
+    WaldVertex,
+)
+from susplink.invariants import ObstructionReport
 from susplink.nielsen import build_nielsen
+from susplink.pipeline import run_pipeline
 from susplink.power import power_nielsen
+from susplink.report import obstructions_to_dict
 from susplink.resolve import subtract_and_normalize
-from susplink.serialize import frac_str, from_json, to_dict, to_dot, to_json
+from susplink.serialize import SCHEMAS, frac_str, from_dict, from_json, to_dict, to_dot, to_json
 from susplink.synthesis import synth_plumbing
 from susplink.waldhausen import nielsen_to_waldhausen
 
@@ -97,3 +124,192 @@ def test_malformed_json_is_rejected():
     ):
         with pytest.raises(InputError, match=message):
             from_json(doc)
+
+
+@pytest.mark.parametrize("twist", ["1e-3", "0.5", 0.5, "1/0", " 1", "+1", "1/-2", True, "\u0663"])
+def test_fraction_fields_take_only_n_or_n_over_d(twist):
+    """A rational field reads an int or a string as frac_str writes it,
+    nothing else: no exponents, no decimals, no JSON floats."""
+    doc = {"schema": "susplink/nielsen:1", "vertices": [{"id": 1, "order": 2}],
+           "boundary_stalks": [{"vertex": 1, "lam": 2, "sigma": 1, "twist": twist}]}
+    with pytest.raises(InputError, match="'twist' must be a fraction"):
+        from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("twist,value", [
+    (3, Fraction(3)), ("-3", Fraction(-3)), ("-31/30", Fraction(-31, 30)),
+    ("2/4", Fraction(1, 2)), ("7/01", Fraction(7)),
+])
+def test_fraction_fields_read_exactly(twist, value):
+    stalk = {"vertex": 1, "lam": 2, "sigma": 1, "twist": twist}
+    doc = {"schema": "susplink/nielsen:1", "vertices": [{"id": 1, "order": 2}],
+           "boundary_stalks": [stalk, stalk]}
+    for b in from_json(json.dumps(doc)).boundary_stalks:
+        assert type(b.twist) is Fraction and b.twist == value
+
+
+# ---------------------------------------------------------------------------
+# reader fuzz
+# ---------------------------------------------------------------------------
+
+# the list fields of each document, by schema tag
+_LAYOUTS = {
+    "susplink/resolution:1": {"vertices": ResVertex, "edges": None, "arrows": ResArrow},
+    "susplink/multiplicity:1": {"vertices": MultVertex, "edges": Edge, "arrows": Arrow},
+    "susplink/nielsen:1": {"vertices": NielsenVertex, "stalks": Stalk,
+                           "boundary_stalks": BoundaryStalk, "edges": NielsenEdge},
+    "susplink/waldhausen:1": {"vertices": WaldVertex, "stalks": WaldStalk,
+                              "arrows": WaldArrow, "edges": WaldEdge},
+    "susplink/plumbing:1": {"vertices": Vertex, "edges": Edge, "arrows": Arrow},
+}
+_SCALARS = st.one_of(
+    st.integers(-3, 5), st.integers(), st.none(), st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["", "f", "g", "h", "binding", "1/2", "-31/30", "1/0", "1e-3", "0.5", "x"]),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_TYPED = {"int": st.integers(-2, 3), "int | None": st.one_of(st.none(), st.integers(-2, 3)),
+          "bool": st.booleans(), "str": st.sampled_from(["f", "g", "", "binding"]),
+          "Fraction": st.sampled_from([1, -2, "1/2", "-1/2", "31/30", "-1/10"])}
+
+
+@st.composite
+def _objects(draw, cls):
+    """A JSON object for ``cls``: well-typed small values, but now and then
+    with a field dropped, a field holding any JSON value, or an unknown key."""
+    obj = {f.name: draw(_TYPED[f.type]) for f in fields(cls)}
+    flaw = draw(st.integers(0, 7))
+    name = draw(st.sampled_from([*obj, "x"]))
+    if flaw == 5:
+        obj.pop(name, None)
+    elif flaw == 6:
+        obj[name] = draw(_VALUES)
+    return obj
+
+
+def _list(draw, cls):
+    """A list field: ``cls`` objects or [u, v] pairs, now and then any JSON value."""
+    if draw(st.integers(0, 9)) == 7:
+        return draw(_VALUES)
+    elements = (st.lists(st.integers(1, 4), min_size=2, max_size=2) if cls is None
+                else _objects(cls))
+    return draw(st.lists(elements, max_size=5))
+
+
+@st.composite
+def _documents(draw):
+    """A document under a known or a wrong schema tag, or any JSON value."""
+    if draw(st.integers(0, 9)) == 7:
+        return draw(_VALUES)
+    schema = draw(st.sampled_from([*_LAYOUTS] * 4 + ["susplink/report:1",
+                                                     "susplink/plumbing:2", "", None, 1]))
+    layout = _LAYOUTS.get(schema, _LAYOUTS["susplink/plumbing:1"])
+    keys = [k for k in layout if k == "vertices" or draw(st.integers(0, 3)) != 2]
+    doc = {"schema": schema}
+    for key in keys + draw(st.lists(st.sampled_from([*layout, "x"]), max_size=1)):
+        doc[key] = _list(draw, layout.get(key, Vertex))
+    return doc
+
+
+@settings(max_examples=300)
+@given(_documents())
+def test_from_json_fuzz_ends_in_graph_or_plumbing_error(doc):
+    """Random schema tags, list keys, field names and values (bools, None,
+    floats, strings, nested lists) read to the tagged graph or raise a
+    PlumbingError."""
+    try:
+        graph = from_json(json.dumps(doc))
+    except PlumbingError:
+        return
+    assert SCHEMAS[type(graph)] == doc["schema"]
+
+
+# ---------------------------------------------------------------------------
+# writer rule
+# ---------------------------------------------------------------------------
+
+def _omitted(x, f) -> bool:
+    """Whether field ``f`` of ``x`` holds a None, False or "" default."""
+    return any(f.default is d and getattr(x, f.name) is d for d in (None, False)) or (
+        f.default == "" and getattr(x, f.name) == "")
+
+
+def _check_writer_rule(x, d: dict) -> None:
+    assert list(d) == [f.name for f in fields(x) if f.name in d]
+    for f in fields(x):
+        assert (f.name not in d) == _omitted(x, f), f.name
+        if f.name in d:
+            value = getattr(x, f.name)
+            if isinstance(value, Fraction):
+                value = frac_str(value)
+            elif isinstance(value, tuple):
+                value = [frac_str(k) for k in value]
+            assert d[f.name] == value
+
+
+@st.composite
+def plumbing_trees(draw):
+    n = draw(st.integers(1, 8))
+    vertices = tuple(
+        Vertex(i, draw(st.integers(-5, 1)), draw(st.integers(0, 2)),
+               draw(st.one_of(st.none(), st.just(0), st.integers(-9, 9))),
+               draw(st.booleans()), draw(st.sampled_from(["", "node", "chain 1-2"])))
+        for i in range(1, n + 1))
+    edges = tuple(Edge(draw(st.integers(1, i - 1)), i, draw(st.sampled_from([1, -1])))
+                  for i in range(2, n + 1))
+    arrows = tuple(Arrow(draw(st.integers(1, n)), draw(st.integers(-3, 3)),
+                         draw(st.sampled_from(["", "binding"])))
+                   for _ in range(draw(st.integers(0, 3))))
+    return PlumbingTree(vertices, edges, arrows)
+
+
+@given(plumbing_trees())
+def test_writer_rule_on_plumbing_trees(tree):
+    data = to_dict(tree)
+    assert list(data) == ["schema", "vertices", "edges", "arrows"]
+    for key in ("vertices", "edges", "arrows"):
+        for x, d in zip(getattr(tree, key), data[key], strict=True):
+            _check_writer_rule(x, d)
+    assert from_dict(data) == tree
+    assert from_json(to_json(tree)) == tree
+
+
+_FRACTIONS = st.fractions(max_denominator=40)
+_MAYBE_INT = st.one_of(st.none(), st.integers(-20, 20))
+
+
+@given(st.builds(
+    ObstructionReport, st.lists(_FRACTIONS, max_size=5).map(tuple), _FRACTIONS,
+    st.booleans(), st.integers(-20, 20), st.integers(-20, 20), st.integers(0, 5),
+    st.integers(1, 5), st.integers(-20, 20), st.integers(0, 20), st.booleans(),
+    _MAYBE_INT, _MAYBE_INT, st.one_of(st.none(), st.booleans()), st.booleans(),
+    st.integers(-50, 50), _MAYBE_INT, _MAYBE_INT, _MAYBE_INT))
+def test_writer_rule_on_obstruction_reports(report):
+    data = obstructions_to_dict(report)
+    _check_writer_rule(report, data)
+    assert json.loads(json.dumps(data)) == data
+
+
+def test_writer_rule_examples():
+    tree = PlumbingTree((Vertex(1, -2, mult=0), Vertex(2, -1, 1, None, True, "node")),
+                        (Edge(1, 2, -1),), (Arrow(1), Arrow(2, -1, "binding")))
+    assert to_dict(tree) == {
+        "schema": "susplink/plumbing:1",
+        "vertices": [{"id": 1, "weight": -2, "genus": 0, "mult": 0},
+                     {"id": 2, "weight": -1, "genus": 1, "flipped": True, "origin": "node"}],
+        "edges": [{"u": 1, "v": 2, "sign": -1}],
+        "arrows": [{"vertex": 1, "mult": 1}, {"vertex": 2, "mult": -1, "label": "binding"}],
+    }
+
+
+def test_pipeline_arrows_are_binding_arrows():
+    """An arrow is written without "label" only while it has none; the
+    pipeline labels every arrow of its trees, so its documents keep it."""
+    for name in ("ex1.txt", "ex2.txt", "ex3.txt", "cusp.txt"):
+        for side in ("fg", "f", "g"):
+            try:
+                result = run_pipeline(read_input(name), 3, side=side, keep_arrows=True)
+            except PlumbingError:  # cusp on side g has no node
+                continue
+            arrows = result.plumbing_full.arrows + result.plumbing.arrows
+            assert arrows and all(a.label == "binding" for a in arrows)
