@@ -62,8 +62,6 @@ def cf_dual(alpha: int, beta: int) -> int:
     """The unique beta' in [0, alpha) with beta * beta' = 1 mod alpha (0 if alpha = 1)."""
     if alpha < 1:
         raise InputError(f"alpha must be >= 1, got {alpha}")
-    if alpha == 1:
-        return 0
     if gcd(beta, alpha) != 1:
         raise InputError(f"beta = {beta} is not invertible mod alpha = {alpha}")
     return pow(beta, -1, alpha)

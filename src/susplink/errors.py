@@ -8,6 +8,8 @@ nonzero.
 
 from __future__ import annotations
 
+import reprlib
+
 
 class PlumbingError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,6 +23,13 @@ class PlumbingError(Exception):
         if self.elements:
             return f"{base} (elements: {', '.join(str(e) for e in self.elements)})"
         return base
+
+
+def excerpt(value, limit: int = 40) -> str:
+    """The repr of ``value`` cut to its first ``limit`` characters, for an
+    error message that quotes input without growing with it."""
+    text = repr(value) if isinstance(value, str) else reprlib.repr(value)
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 class InputError(PlumbingError):

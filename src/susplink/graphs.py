@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError, NotATreeError, UnsupportedError
+from .errors import InputError, NotATreeError, UnsupportedError, excerpt
 
 __all__ = [
     "Vertex",
@@ -234,7 +234,7 @@ class ResolutionGraph:
         check_tree(ids, self.edges, "resolution graph")
         for a in self.arrows:
             if a.side not in ("f", "g"):
-                raise InputError(f"arrow side must be f or g, got {a.side!r}")
+                raise InputError(f"arrow side must be f or g, got {excerpt(a.side)}")
             if (a.side == "f" and a.mult != 1) or (a.side == "g" and a.mult != -1):
                 raise InputError(
                     "arrow mult must be +1 on side f and -1 on side g",
@@ -412,7 +412,7 @@ class NielsenGraph:
                 raise InputError(
                     f"lam = {lam} does not divide the order {order[vid]}",
                     elements=(vid,))
-            if lam > 1 and gcd(sigma, lam) != 1:
+            if gcd(sigma, lam) != 1:
                 raise InputError(
                     f"sigma = {sigma} is not invertible mod lam = {lam}",
                     elements=(vid,))
@@ -520,18 +520,12 @@ class WaldhausenGraph:
                 raise InputError("edge eps must be +-1", elements=(e.u, e.v))
             if e.alpha < 1:
                 raise InputError("edge alpha must be >= 1", elements=(e.u, e.v))
-            if e.alpha == 1:
-                if e.beta_u != 0 or e.beta_v != 0:
-                    raise InputError("alpha = 1 edges need beta = beta' = 0",
-                                     elements=(e.u, e.v))
-            else:
-                if not (0 <= e.beta_u < e.alpha and 0 <= e.beta_v < e.alpha):
-                    raise InputError("edge pair is not normalized",
-                                     elements=(e.u, e.v))
-                if (e.beta_u * e.beta_v) % e.alpha != 1 % e.alpha:
-                    raise InputError(
-                        f"beta * beta' = {e.beta_u} * {e.beta_v} is not 1 mod {e.alpha}",
-                        elements=(e.u, e.v))
+            if not (0 <= e.beta_u < e.alpha and 0 <= e.beta_v < e.alpha):
+                raise InputError("edge pair is not normalized", elements=(e.u, e.v))
+            if (e.beta_u * e.beta_v) % e.alpha != 1 % e.alpha:
+                raise InputError(
+                    f"beta * beta' = {e.beta_u} * {e.beta_v} is not 1 mod {e.alpha}",
+                    elements=(e.u, e.v))
 
     @property
     def ids(self) -> tuple[int, ...]:

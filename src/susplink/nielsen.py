@@ -129,14 +129,15 @@ def chain_gcd(values: list[int]) -> int:
 
 
 def _chain_fraction(weight: dict[int, int], vertices) -> tuple[int, int]:
-    """alpha/(alpha - beta) of the chain read in the given order.
+    """alpha/(alpha - beta) of the chain read in the given order; 1/1, the
+    trivial pair, for the empty chain of two adjacent nodes.
 
     Chains of a non-minimal resolution may pass through weights >= -1; the
     negative continued fraction value is blow-down invariant, so the result
     is still the reduced pair (degenerate chains raise).
     """
     weights = [-weight[vid] for vid in vertices]
-    num, den = neg_cf_eval(weights)
+    num, den = neg_cf_eval(weights) if weights else (1, 1)
     if num < 1 or not 1 <= den <= num:
         raise ChainDataError(
             f"chain fraction {num}/{den} along {list(vertices)} is not of "
@@ -178,13 +179,9 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
     edges = []
     for ec in dec.edge_chains:
         mi, mj = m[ec.node_u], m[ec.node_v]
-        if ec.vertices:
-            alpha, den = _chain_fraction(weight, ec.vertices)
-            beta_u = alpha - den
-            n = chain_gcd([mi] + [m[v] for v in ec.vertices] + [mj])
-        else:
-            alpha, beta_u = 1, 0
-            n = gcd(mi, mj)
+        alpha, den = _chain_fraction(weight, ec.vertices)
+        beta_u = alpha - den
+        n = chain_gcd([mi] + [m[v] for v in ec.vertices] + [mj])
         if mi % n or mj % n:
             raise ChainDataError(
                 "inconsistent chain data: chain gcd does not divide the node orders",

@@ -41,8 +41,6 @@ def _lift_valency(m: int, r: int, lam: int, sigma: int) -> tuple[int, int, int]:
         raise InputError(
             f"valency transform is fractional for (m, r, lam) = ({m}, {r}, {lam})")
     scale = r // n
-    if lam_new == 1:
-        return n_i, 1, 0
     if gcd(scale, lam_new) != 1:
         raise InputError(
             f"r/n = {scale} is not invertible mod lam' = {lam_new}; "

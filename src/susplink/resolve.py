@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .errors import FibrednessError, InputError, MonodromyError
+from .errors import FibrednessError, InputError, MonodromyError, excerpt
 from .exactlinalg import eliminate
 from .graphs import (
     Arrow,
@@ -61,10 +61,8 @@ def parse_resolution(text: str) -> ResolutionGraph:
             elif kind == "arrow":
                 arrows.append(_parse_arrow(args))
             else:
-                raise InputError(f"unknown directive {kind!r}")
-        except InputError as exc:
-            raise InputError(f"line {lineno}: {exc}") from exc
-        except ValueError as exc:
+                raise InputError(f"unknown directive {excerpt(kind)}")
+        except (InputError, ValueError) as exc:  # ValueError: int() of a bad token
             raise InputError(f"line {lineno}: {exc}") from exc
     return ResolutionGraph(tuple(vertices), tuple(edges), tuple(arrows))
 
@@ -77,10 +75,10 @@ def _parse_vertex(args) -> ResVertex:
     seen_weight = False
     for item in args[1:]:
         if "=" not in item:
-            raise InputError(f"expected key=value, got {item!r}")
+            raise InputError(f"expected key=value, got {excerpt(item)}")
         key, value = item.split("=", 1)
         if key not in fields:
-            raise InputError(f"unknown vertex field {key!r}")
+            raise InputError(f"unknown vertex field {excerpt(key)}")
         fields[key] = int(value)
         seen_weight = seen_weight or key == "weight"
     if not seen_weight:
@@ -96,14 +94,14 @@ def _parse_arrow(args) -> ResArrow:
     mult = None
     for item in args[1:]:
         if "=" not in item:
-            raise InputError(f"expected key=value, got {item!r}")
+            raise InputError(f"expected key=value, got {excerpt(item)}")
         key, value = item.split("=", 1)
         if key == "side":
             side = value
         elif key == "mult":
             mult = int(value)
         else:
-            raise InputError(f"unknown arrow field {key!r}")
+            raise InputError(f"unknown arrow field {excerpt(key)}")
     if side not in ("f", "g"):
         raise InputError("arrow needs side=f or side=g")
     want = 1 if side == "f" else -1

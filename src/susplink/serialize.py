@@ -15,7 +15,7 @@ from dataclasses import MISSING, fields
 from fractions import Fraction
 from functools import cache
 
-from .errors import InputError
+from .errors import InputError, excerpt
 from .graphs import (
     Arrow,
     BoundaryStalk,
@@ -55,7 +55,6 @@ _DOCUMENTS = {
     PlumbingTree: ("susplink/plumbing:1", ("vertices", "edges"),
                    {"vertices": Vertex, "edges": Edge, "arrows": Arrow}),
 }
-SCHEMAS = {cls: tag for cls, (tag, _, _) in _DOCUMENTS.items()}
 
 
 def frac_str(x) -> str:
@@ -108,8 +107,8 @@ def to_dict(graph) -> dict:
     return out
 
 
-def to_json(graph, indent: int | None = 2) -> str:
-    return json.dumps(to_dict(graph), indent=indent)
+def to_json(graph) -> str:
+    return json.dumps(to_dict(graph), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +159,19 @@ def _list(data: dict, key: str, cls, required: bool) -> tuple:
         raise InputError(f"field {key!r} must be a list of objects")
     spec = _spec(cls)
     elements = []
-    for item in items:
+    for i, item in enumerate(items):
         values = []
         for name, default, kind, types in spec:
             value = item.get(name, default)
             if type(value) not in types:
                 if value is MISSING:
-                    raise InputError(f"missing field {name!r} in {item}")
+                    raise InputError(f"missing field {name!r} in {key}[{i}]")
                 if callable(value):
                     value = value(item)
                 elif kind != "Fraction":
-                    raise InputError(f"field {name!r} must be {kind} in {item}")
+                    raise InputError(f"field {name!r} must be {kind} in {key}[{i}]")
                 elif (value := _fraction(value)) is None:
-                    raise InputError(f"field {name!r} must be a fraction n or n/d in {item}")
+                    raise InputError(f"field {name!r} must be a fraction n or n/d in {key}[{i}]")
             values.append(value)
         elements.append(cls(*values))
     return tuple(elements)
@@ -186,7 +185,7 @@ def from_dict(data: dict):
         if tag == schema:
             return graph_cls(**{key: _list(data, key, cls, key in required)
                                 for key, cls in lists.items()})
-    raise InputError(f"unknown or missing schema {schema!r}")
+    raise InputError(f"unknown or missing schema {excerpt(schema)}")
 
 
 def from_json(text: str):
@@ -209,8 +208,8 @@ def _valency_label(lam: int, sigma: int) -> str:
     return f"({lam},{canon})"
 
 
-def to_dot(graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{", "  node [shape=circle];"]
+def to_dot(graph) -> str:
+    lines = ["graph G {", "  node [shape=circle];"]
     if isinstance(graph, (PlumbingTree, MultPlumbing)):
         for v in graph.vertices:
             parts = [str(v.weight)]

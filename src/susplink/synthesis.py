@@ -2,11 +2,12 @@
 Waldhausen graph, plus the blow-down calculus used to reduce the result.
 
 Every Seifert pair (alpha, beta) becomes a Hirzebruch-Jung chain carrying
-the negated expansion of alpha/(alpha - beta); gluing triplets become the
-connecting chains, read from the side whose triplet they are.  Multiplicity
-signs of the node fibres are fixed by a 2-coloring across the eps = -1
-gluings, and every chain multiplicity plus every node weight is then forced
-by the monodromical balance
+the negated expansion of alpha/(alpha - beta), and the trivial pair
+alpha = 1 the empty chain; gluing triplets become the connecting chains,
+read from the side whose triplet they are, and a binding arrow sits past
+the far end of its chain.  Multiplicity signs of the node fibres are fixed
+by a 2-coloring across the eps = -1 gluings, and every chain multiplicity
+plus every node weight is then forced by the monodromical balance
 
     b_v * m_v + sum(neighbour multiplicities) + sum(arrow multiplicities) = 0
 
@@ -37,7 +38,7 @@ def chain_mults(weights, left_mult: int, right_mult: int = 0) -> list[int]:
     vertex and ``right_mult`` what lies past the last one: the multiplicity
     of a neighbouring vertex, that of a binding arrow, or 0 at a leaf.  Both
     enter the balance of their end vertex as constants.  Raises BalanceError
-    when the solution is not integral.
+    when the solution is not integral; an empty chain has no multiplicities.
 
     The balance w_i*m_i + m_(i-1) + m_(i+1) = 0 is a three-term recurrence:
     with m_0 = ``left_mult`` every m_i is p_i*m_1 + q_i in integers, and
@@ -45,7 +46,7 @@ def chain_mults(weights, left_mult: int, right_mult: int = 0) -> list[int]:
     determinant of the chain's form, so the system is singular iff it is 0.
     """
     if not weights:
-        raise ValueError("empty chain")
+        return []
     p0, q0, p1, q1 = 0, left_mult, 1, 0
     for w in weights:
         p0, q0, p1, q1 = p1, q1, -w * p1 - p0, -w * q1 - q0
@@ -122,38 +123,30 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
 
     def attach_chain(node: int, alpha: int, beta: int, origin: str,
                      far_mult: int = 0) -> tuple[int, int]:
-        """Chain of -neg_cf_expand(alpha, alpha - beta) hanging off ``node``
-        with ``far_mult`` past its far end; returns the id and the
-        multiplicity of its last vertex."""
+        """Chain of -neg_cf_expand(alpha, alpha - beta) hanging off ``node``,
+        empty for the trivial pair alpha = 1, with ``far_mult`` past its far
+        end; returns the id and the multiplicity of its last vertex, which
+        is ``node`` itself when the chain is empty."""
         nonlocal next_id
-        weights = [-b for b in neg_cf_expand(alpha, alpha - beta)]
-        values = chain_mults(weights, mult[node], far_mult)
-        terms[node] += values[0]
+        weights = [-b for b in neg_cf_expand(alpha, alpha - beta)] if alpha > 1 else []
+        values = [mult[node], *chain_mults(weights, mult[node], far_mult), far_mult]
+        terms[node] += values[1]
         prev = node
-        for i, (wt, m) in enumerate(zip(weights, values)):
+        for i, (wt, m) in enumerate(zip(weights, values[1:])):
             chain_vertices.append(Vertex(next_id, wt, 0, m, False, f"{origin}[{i + 1}]"))
             edges.append(Edge(prev, next_id))
             prev = next_id
             next_id += 1
-        return prev, values[-1]
+        return prev, values[-2]
 
     for s in sorted(w.stalks, key=lambda s: (s.vertex, s.alpha, s.beta)):
         attach_chain(s.vertex, s.alpha, s.beta, f"stalk ({s.alpha},{s.beta}) of {s.vertex}")
     for a in sorted(w.arrows, key=lambda a: (a.vertex, a.alpha, a.beta)):
         sign = colors[a.vertex]
-        if a.alpha == 1:
-            arrows.append(Arrow(a.vertex, sign, "binding"))
-            terms[a.vertex] += sign
-        else:
-            last, _ = attach_chain(a.vertex, a.alpha, a.beta,
-                                   f"arrow ({a.alpha},{a.beta}) of {a.vertex}", sign)
-            arrows.append(Arrow(last, sign, "binding"))
+        last, _ = attach_chain(a.vertex, a.alpha, a.beta,
+                               f"arrow ({a.alpha},{a.beta}) of {a.vertex}", sign)
+        arrows.append(Arrow(last, sign, "binding"))
     for e in sorted(w.edges, key=lambda e: (e.u, e.v, e.alpha, e.beta_u)):
-        if e.alpha == 1:
-            edges.append(Edge(e.u, e.v))
-            terms[e.u] += mult[e.v]
-            terms[e.v] += mult[e.u]
-            continue
         expansion = neg_cf_expand(e.alpha, e.alpha - e.beta_u)
         reverse = neg_cf_eval(list(reversed(expansion)))
         dual = cf_dual(e.alpha, e.beta_u)

@@ -8,20 +8,18 @@ incidence-by-incidence:
 * a stalk (lam, sigma) is the Seifert pair (alpha, beta) = (lam, sigma)
   normalized to 1 <= beta < alpha (lam = 1 stalks are regular fibres and
   disappear),
-* a boundary-stalk with valency (lam, sigma), twist t at a vertex of order m
-  becomes a binding arrow with
+* an incidence with valency (lam, sigma) and twist t, at a vertex of order m
+  whose far piece has order m', gives the Seifert pair
 
-      alpha = |t * lam| ,   beta = -sign(t) * (1 - m*t*sigma) / m ,
+      alpha = |m'*t*lam| ,   beta = -sign(t)*(m' - m*m'*t*sigma)/m .
 
-* an edge with twist t between orders m (here) and m' (there) becomes a
-  gluing triplet
+  An edge reads it once from each end, and eps = -sign(t) completes its
+  gluing triplet.  The solid torus around a binding component is a far
+  piece of order m' = 1, so a boundary-stalk becomes the binding arrow with
+  that pair.  The vertex label is the integral Euler obstruction
+  e = sum sigma_i / lam_i over all incidences.
 
-      eps = -sign(t) , alpha = |m'*t*lam| , beta = -sign(t)*(m' - m*m'*t*sigma)/m
-
-  read once from each end, and the vertex label is the integral Euler
-  obstruction e = sum sigma_i / lam_i over all incidences.
-
-In each formula sigma means the representative of its class that makes beta
+In the pair, sigma means the representative of its class that makes beta
 an integer in [0, alpha); shifting sigma by lam shifts beta by exactly
 alpha, so the representative exists iff beta is integral for the canonical
 one, and is then unique.
@@ -45,23 +43,22 @@ from .graphs import (
 __all__ = ["nielsen_to_waldhausen"]
 
 
-def _sign(x: Fraction) -> int:
-    return 1 if x > 0 else -1
-
-
-def _normalize(beta0: Fraction, alpha: int, sigma0: int, lam: int,
-               where: str) -> tuple[int, int]:
-    """Shift (beta, sigma) by (alpha, lam) steps until 0 <= beta < alpha;
-    returns the integral pair or raises."""
-    if beta0.denominator != 1:
+def _seifert_pair(m: int, m_far: int, t: Fraction, lam: int, sigma: int,
+                  where: str) -> tuple[int, int, int]:
+    """(alpha, beta, sigma') of the incidence with valency (lam, sigma) and
+    twist t at a piece of order m whose far piece has order m_far, shifted
+    by (alpha, lam) steps until 0 <= beta < alpha."""
+    alpha = abs(m_far * t * lam)
+    beta = (-1 if t > 0 else 1) * Fraction(m_far - m * m_far * t * sigma, m)
+    if alpha.denominator != 1:
+        raise NormalizationError(f"{where}: alpha = {alpha} is not integral")
+    if beta.denominator != 1:
         raise NormalizationError(
             f"mero normalization failure at {where}: "
-            f"beta = {beta0} is not integral for any representative")
-    beta = int(beta0)
-    if alpha < 1:
-        raise NormalizationError(f"invalid alpha = {alpha} at {where}")
+            f"beta = {beta} is not integral for any representative")
+    alpha, beta = int(alpha), int(beta)
     k = -(beta // alpha)
-    return beta + k * alpha, sigma0 + k * lam
+    return alpha, beta + k * alpha, sigma + k * lam
 
 
 def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
@@ -84,40 +81,25 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
 
     arrows = []
     for b in n.boundary_stalks:
-        m = order[b.vertex]
-        t = b.twist
-        alpha_f = abs(t * b.lam)
-        if alpha_f.denominator != 1:
-            raise NormalizationError(
-                f"arrow alpha = {alpha_f} is not integral at vertex {b.vertex}")
-        alpha = int(alpha_f)
-        beta0 = -_sign(t) * Fraction(1 - m * t * b.sigma, m)
-        beta, sigma = _normalize(beta0, alpha, b.sigma, b.lam,
-                                 f"arrow at vertex {b.vertex}")
+        alpha, beta, sigma = _seifert_pair(order[b.vertex], 1, b.twist, b.lam, b.sigma,
+                                           f"arrow at vertex {b.vertex}")
         arrows.append(WaldArrow(b.vertex, alpha, beta))
         euler[b.vertex] += Fraction(sigma, b.lam)
 
     edges = []
     for e in n.edges:
-        t = e.twist
-        eps = -_sign(t)
         mu, mv = order[e.u], order[e.v]
-        alpha_f = abs(mv * t * e.lam_u)
-        alpha_check = abs(mu * t * e.lam_v)
-        if alpha_f.denominator != 1 or alpha_f != alpha_check:
+        alpha, beta_u, sigma_u = _seifert_pair(mu, mv, e.twist, e.lam_u, e.sigma_u,
+                                               f"edge ({e.u}, {e.v}) at {e.u}")
+        alpha_v, beta_v, sigma_v = _seifert_pair(mv, mu, e.twist, e.lam_v, e.sigma_v,
+                                                 f"edge ({e.u}, {e.v}) at {e.v}")
+        if alpha != alpha_v:
             raise NormalizationError(
-                f"edge alpha mismatch between the two ends: {alpha_f} vs {alpha_check}")
-        alpha = int(alpha_f)
-        beta_u0 = -_sign(t) * Fraction(mv - mu * mv * t * e.sigma_u, mu)
-        beta_v0 = -_sign(t) * Fraction(mu - mu * mv * t * e.sigma_v, mv)
-        beta_u, sigma_u = _normalize(beta_u0, alpha, e.sigma_u, e.lam_u,
-                                     f"edge ({e.u}, {e.v}) at {e.u}")
-        beta_v, sigma_v = _normalize(beta_v0, alpha, e.sigma_v, e.lam_v,
-                                     f"edge ({e.u}, {e.v}) at {e.v}")
-        if alpha > 1 and (beta_u * beta_v) % alpha != 1:
+                f"edge alpha mismatch between the two ends: {alpha} vs {alpha_v}")
+        if (beta_u * beta_v) % alpha != 1 % alpha:
             raise NormalizationError(
                 f"edge duality failure: {beta_u} * {beta_v} != 1 mod {alpha}")
-        edges.append(WaldEdge(e.u, e.v, eps, alpha, beta_u, beta_v))
+        edges.append(WaldEdge(e.u, e.v, -1 if e.twist > 0 else 1, alpha, beta_u, beta_v))
         euler[e.u] += Fraction(sigma_u, e.lam_u)
         euler[e.v] += Fraction(sigma_v, e.lam_v)
 

@@ -1,11 +1,18 @@
+import contextlib
+import functools
 import io
 import json
+import random
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from susplink.cli import main
+from susplink.pipeline import run_pipeline
+from susplink.serialize import to_dict
 from conftest import DATA
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -114,7 +121,11 @@ def test_batch_pipeline(capsys):
     ("plumbing", {"schema": "susplink/waldhausen:1",
                   "vertices": [{"id": 1, "e": -1, "q": 2}],
                   "arrows": [{"vertex": 1, "alpha": 1, "beta": 0}]}),
-], ids=["no_weight", "weight_x", "stalk_no_beta", "order_0", "q_2"])
+    ("plumbing", {"schema": "susplink/waldhausen:1",
+                  "vertices": [{"id": 1, "e": -1}, {"id": 2, "e": -1}],
+                  "edges": [{"u": 1, "v": 2, "eps": 1, "alpha": 1, "beta_u": 1,
+                             "beta_v": 0}]}),
+], ids=["no_weight", "weight_x", "stalk_no_beta", "order_0", "q_2", "alpha_1_beta_1"])
 def test_malformed_stage_document(tmp_path, capsys, command, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -196,3 +207,114 @@ def test_pipeline_keep_arrows(capsys):
     assert code == 0
     report = json.loads(out)
     assert len(report["stages"]["plumbing"]["arrows"]) == 2
+
+
+# Subcommand reading each kind of input; None stands for resolution text.
+_READERS = {None: ("step1", "pipeline"), "susplink/resolution:1": ("step1",),
+            "susplink/multiplicity:1": ("nielsen",),
+            "susplink/nielsen:1": ("power", "waldhausen"),
+            "susplink/waldhausen:1": ("plumbing",), "susplink/plumbing:1": ("invariants",)}
+_COMMANDS = ("step1", "nielsen", "power", "waldhausen", "plumbing", "invariants", "pipeline")
+
+
+@functools.cache
+def _seeds() -> tuple:
+    """Each data file's text and stage documents at the r in 1..12 whose
+    Seifert pairs all have alpha <= 12, as (text or JSON object, r)."""
+    seeds = []
+    for path in sorted(DATA.glob("*.txt")):
+        text = path.read_text(encoding="utf-8")
+        for r in range(1, 13):
+            result = run_pipeline(text, r)
+            w = result.waldhausen
+            if max(p.alpha for p in w.stalks + w.arrows + w.edges) > 12:
+                continue
+            seeds.append((text, r))
+            seeds += [(to_dict(g), r) for g in (
+                result.resolution, result.multiplicity, result.nielsen,
+                result.nielsen_power, w, result.plumbing_full)]
+    return tuple(seeds)
+
+
+_VALUES = st.one_of(st.integers(-3, 12), st.sampled_from(
+    ["1/2", "-1/3", "2/3", "-3/2", "x", "", "f", "g", "binding", None, True, 0.5, []]))
+
+
+def _mutated_text(rng, text) -> str:
+    """``text`` with a token of one line replaced, or a line dropped."""
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    tokens = lines[i].split()
+    if tokens and rng.random() < 0.8:
+        j = rng.randrange(len(tokens))
+        key = tokens[j].split("=", 1)[0] + "=" if "=" in tokens[j] else ""
+        tokens[j] = key + rng.choice(["-4", "-3", "-2", "-1", "0", "1", "2", "f", "g", "x"])
+        lines[i] = " ".join(tokens)
+    else:
+        del lines[i]
+    return "\n".join(lines) + "\n"
+
+
+def _mutated_document(rng, draw, doc) -> dict:
+    """``doc`` with one field of one element set to a drawn value, one
+    element dropped or doubled, or the schema tag changed."""
+    doc = json.loads(json.dumps(doc))
+    lists = [k for k, v in doc.items() if isinstance(v, list) and v]
+    roll = rng.random()
+    if not lists or roll < 0.05:
+        doc["schema"] = rng.choice(list(_READERS)[1:] + ["susplink/report:1"])
+        return doc
+    items = doc[rng.choice(lists)]
+    i = rng.randrange(len(items))
+    if roll < 0.15:
+        del items[i]
+    elif roll < 0.25:
+        items.append(items[i])
+    elif isinstance(items[i], dict):
+        items[i][rng.choice([*items[i], "x"])] = draw(_VALUES)
+    else:
+        items[i][rng.randrange(2)] = draw(_VALUES)
+    return doc
+
+
+@st.composite
+def _cli_runs(draw):
+    """(argv without the input path, input text): a subcommand with its
+    options, mostly fed the kind of input it reads and mostly mutated."""
+    seed, r = draw(st.sampled_from(_seeds()))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = seed.get("schema") if isinstance(seed, dict) else None
+    if draw(st.integers(0, 3)):
+        command = draw(st.sampled_from(_READERS[kind]))
+    else:
+        command = draw(st.sampled_from(_COMMANDS))
+    if draw(st.integers(0, 4)):
+        seed = (_mutated_text(rng, seed) if kind is None
+                else _mutated_document(rng, draw, seed))
+    text = seed if kind is None else json.dumps(seed)
+    argv = [command]
+    if command in ("power", "pipeline"):
+        argv += ["-r", str(draw(st.sampled_from([r, r, -1, 0, 1, 2])))]
+    if command in ("plumbing", "pipeline") and draw(st.booleans()):
+        argv.append("--keep-arrows")
+    if command in ("plumbing", "invariants", "pipeline") and draw(st.booleans()):
+        argv.append("--blow-down")
+    if command != "invariants":
+        argv += ["--format", draw(st.sampled_from(["json", "text", "dot"]))]
+    return argv, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cli_runs())
+def test_cli_fuzz_exits_0_or_reports_the_stage(run):
+    """Every subcommand, fed a stage document or input text that is mostly
+    mutated, exits 0, or exits 1 with an "error [stage]" line on stderr."""
+    argv, text = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input"
+        path.write_text(text, encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1:]])
+    assert (code, err.getvalue()) == (0, "") or (
+        code == 1 and err.getvalue().startswith("error [")), (code, err.getvalue())

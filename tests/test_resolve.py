@@ -42,6 +42,20 @@ def test_parse_errors():
         parse_resolution("vertex 1 weight=-1\narrow 1 side=f mult=-1\n")
 
 
+@pytest.mark.parametrize("text,start", [
+    ("vertex 1 weight=-2\n" + "d" * 10**6, "line 2: unknown directive 'ddd"),
+    ("vertex 1 weight=-2 " + "k" * 10**6, "line 1: expected key=value, got 'kkk"),
+    ("vertex 1 weight=-2 " + "k" * 10**6 + "=1", "line 1: unknown vertex field 'kkk"),
+    ("vertex 1 weight=-2\narrow 1 " + "k" * 10**6 + "=f", "line 2: unknown arrow field 'kkk"),
+], ids=["directive", "item", "vertex_field", "arrow_field"])
+def test_parse_errors_quote_a_short_prefix(text, start):
+    """An error names the line and quotes only the start of a long token."""
+    with pytest.raises(InputError) as info:
+        parse_resolution(text)
+    message = str(info.value)
+    assert message.startswith(start) and len(message) < 200
+
+
 @pytest.mark.parametrize("name", ["ex1.txt", "ex2.txt", "ex3.txt", "cusp.txt"])
 def test_parse_any_whitespace_and_trailing_comments(name):
     """Tabs, runs of spaces and trailing comments give the same graph."""

@@ -30,7 +30,7 @@ from susplink.pipeline import run_pipeline
 from susplink.power import power_nielsen
 from susplink.report import obstructions_to_dict
 from susplink.resolve import subtract_and_normalize
-from susplink.serialize import SCHEMAS, frac_str, from_dict, from_json, to_dict, to_dot, to_json
+from susplink.serialize import frac_str, from_dict, from_json, to_dict, to_dot, to_json
 from susplink.synthesis import synth_plumbing
 from susplink.waldhausen import nielsen_to_waldhausen
 
@@ -124,6 +124,22 @@ def test_malformed_json_is_rejected():
     ):
         with pytest.raises(InputError, match=message):
             from_json(doc)
+
+
+@pytest.mark.parametrize("doc,start", [
+    ({"schema": "susplink/plumbing:1", "edges": [],
+      "vertices": [{"id": 1, "weight": -1}, {"id": 2, "weight": "x", "origin": "o" * 10**6}]},
+     "field 'weight' must be int in vertices[1]"),
+    ({"schema": "s" * 10**6}, "unknown or missing schema 'sss"),
+    ({"schema": [["s" * 10**6, 1]]}, "unknown or missing schema [['sss"),
+], ids=["origin", "schema", "schema_list"])
+def test_document_errors_stay_short(doc, start):
+    """A field error names its element by list and index, and a schema
+    error quotes only the start of the schema, however long the input."""
+    with pytest.raises(InputError) as info:
+        from_json(json.dumps(doc))
+    message = str(info.value)
+    assert message.startswith(start) and len(message) < 200
 
 
 @pytest.mark.parametrize("twist", ["1e-3", "0.5", 0.5, "1/0", " 1", "+1", "1/-2", True, "\u0663"])
@@ -221,7 +237,7 @@ def test_from_json_fuzz_ends_in_graph_or_plumbing_error(doc):
         graph = from_json(json.dumps(doc))
     except PlumbingError:
         return
-    assert SCHEMAS[type(graph)] == doc["schema"]
+    assert to_dict(graph)["schema"] == doc["schema"]
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,11 @@ def test_chain_mults_arrow_end():
     assert chain_mults([-5], 9, right_mult=1) == [2]
 
 
+def test_chain_mults_empty_chain():
+    # the trivial pair alpha = 1 plumbs as a chain without vertices
+    assert chain_mults([], 4, right_mult=-1) == []
+
+
 def test_chain_mults_non_integral():
     with pytest.raises(BalanceError):
         chain_mults([-2, -2], -8, right_mult=-1)

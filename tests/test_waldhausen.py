@@ -5,6 +5,7 @@ import pytest
 from susplink.errors import NormalizationError, UnsupportedError
 from susplink.graphs import (
     BoundaryStalk,
+    NielsenEdge,
     NielsenGraph,
     NielsenVertex,
     Stalk,
@@ -106,3 +107,13 @@ def test_lam_1_stalks_are_regular_fibres():
     w = nielsen_to_waldhausen(n)
     assert [(s.alpha, s.beta) for s in w.stalks] == [(2, 1), (2, 1)]
     assert w.vertices[0].e == 1
+
+
+def test_edge_duality_is_checked_in_step_4():
+    # both ends read (2, 0): no beta' inverts beta mod 2, which step 4
+    # reports before the Waldhausen graph would reject the edge as input
+    n = NielsenGraph((NielsenVertex(1, 8, 0),),
+                     edges=(NielsenEdge(1, 1, Fraction(1, 8), 2, 1, 2, 1),))
+    with pytest.raises(NormalizationError,
+                       match=r"^edge duality failure: 0 \* 0 != 1 mod 2$"):
+        nielsen_to_waldhausen(n)
