@@ -25,11 +25,11 @@ class PlumbingError(Exception):
         return base
 
 
-def excerpt(value, limit: int = 40) -> str:
-    """The repr of ``value`` cut to its first ``limit`` characters, for an
-    error message that quotes input without growing with it."""
+def excerpt(value) -> str:
+    """The repr of ``value`` cut to its first 40 characters, for an error
+    message that quotes input without growing with it."""
     text = repr(value) if isinstance(value, str) else reprlib.repr(value)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class InputError(PlumbingError):

@@ -518,8 +518,6 @@ class WaldhausenGraph:
                 raise InputError("edge on unknown vertex", elements=(e.u, e.v))
             if e.eps not in (1, -1):
                 raise InputError("edge eps must be +-1", elements=(e.u, e.v))
-            if e.alpha < 1:
-                raise InputError("edge alpha must be >= 1", elements=(e.u, e.v))
             if not (0 <= e.beta_u < e.alpha and 0 <= e.beta_v < e.alpha):
                 raise InputError("edge pair is not normalized", elements=(e.u, e.v))
             if (e.beta_u * e.beta_v) % e.alpha != 1 % e.alpha:

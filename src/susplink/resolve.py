@@ -57,31 +57,36 @@ def parse_resolution(text: str) -> ResolutionGraph:
             elif kind == "edge":
                 if len(args) != 2:
                     raise InputError("edge needs exactly two vertex ids")
-                edges.append((int(args[0]), int(args[1])))
+                edges.append((_int("edge end", args[0]), _int("edge end", args[1])))
             elif kind == "arrow":
                 arrows.append(_parse_arrow(args))
             else:
                 raise InputError(f"unknown directive {excerpt(kind)}")
-        except (InputError, ValueError) as exc:  # ValueError: int() of a bad token
+        except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from exc
     return ResolutionGraph(tuple(vertices), tuple(edges), tuple(arrows))
+
+
+def _int(name: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:  # not an integer, or more digits than int() converts
+        raise InputError(f"{name} must be an integer, got {excerpt(token)}") from None
 
 
 def _parse_vertex(args) -> ResVertex:
     if not args:
         raise InputError("vertex needs an id")
-    vid = int(args[0])
+    vid = _int("vertex id", args[0])
     fields = {"weight": None, "genus": 0, "mf": None, "mg": None}
-    seen_weight = False
     for item in args[1:]:
         if "=" not in item:
             raise InputError(f"expected key=value, got {excerpt(item)}")
         key, value = item.split("=", 1)
         if key not in fields:
             raise InputError(f"unknown vertex field {excerpt(key)}")
-        fields[key] = int(value)
-        seen_weight = seen_weight or key == "weight"
-    if not seen_weight:
+        fields[key] = _int(f"field {key!r}", value)
+    if fields["weight"] is None:
         raise InputError(f"vertex {vid} is missing weight=")
     return ResVertex(vid, fields["weight"], fields["genus"], fields["mf"], fields["mg"])
 
@@ -89,7 +94,7 @@ def _parse_vertex(args) -> ResVertex:
 def _parse_arrow(args) -> ResArrow:
     if not args:
         raise InputError("arrow needs a vertex id")
-    vid = int(args[0])
+    vid = _int("arrow id", args[0])
     side = None
     mult = None
     for item in args[1:]:
@@ -99,7 +104,7 @@ def _parse_arrow(args) -> ResArrow:
         if key == "side":
             side = value
         elif key == "mult":
-            mult = int(value)
+            mult = _int("field 'mult'", value)
         else:
             raise InputError(f"unknown arrow field {excerpt(key)}")
     if side not in ("f", "g"):

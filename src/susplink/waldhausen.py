@@ -74,8 +74,7 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
         beta = s.sigma % s.lam
         if beta == 0:
             raise NormalizationError(
-                f"stalk ({s.lam}, {s.sigma}) cannot be normalized to 1 <= beta < alpha",
-                )
+                f"stalk ({s.lam}, {s.sigma}) cannot be normalized to 1 <= beta < alpha")
         stalks.append(WaldStalk(s.vertex, s.lam, beta))
         euler[s.vertex] += Fraction(beta, s.lam)
 

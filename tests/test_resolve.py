@@ -47,7 +47,13 @@ def test_parse_errors():
     ("vertex 1 weight=-2 " + "k" * 10**6, "line 1: expected key=value, got 'kkk"),
     ("vertex 1 weight=-2 " + "k" * 10**6 + "=1", "line 1: unknown vertex field 'kkk"),
     ("vertex 1 weight=-2\narrow 1 " + "k" * 10**6 + "=f", "line 2: unknown arrow field 'kkk"),
-], ids=["directive", "item", "vertex_field", "arrow_field"])
+    ("vertex 1 weight=" + "x" * 10**6, "line 1: field 'weight' must be an integer, got 'xxx"),
+    ("vertex 1 weight=-2\narrow 1 side=f mult=" + "x" * 10**6,
+     "line 2: field 'mult' must be an integer, got 'xxx"),
+    ("vertex " + "x" * 10**6 + " weight=-2", "line 1: vertex id must be an integer, got 'xxx"),
+    ("vertex 1 weight=-2\nedge 1 " + "x" * 10**6, "line 2: edge end must be an integer, got 'xxx"),
+], ids=["directive", "item", "vertex_field", "arrow_field", "vertex_value", "arrow_value",
+        "vertex_id", "edge_end"])
 def test_parse_errors_quote_a_short_prefix(text, start):
     """An error names the line and quotes only the start of a long token."""
     with pytest.raises(InputError) as info:
