@@ -476,6 +476,7 @@ class WaldArrow:
     vertex: int
     alpha: int
     beta: int  # 0 <= beta < alpha
+    reversed: bool = False  # binding oriented against the fibres of its piece
 
 
 @dataclass(frozen=True)
@@ -499,20 +500,18 @@ class WaldhausenGraph:
         ids = _ids(self.vertices)
         known = set(ids)
         _check_pieces(self.vertices)
-        for s in self.stalks:
-            if s.vertex not in known:
-                raise InputError("stalk on unknown vertex", elements=(s.vertex,))
-            if not 1 <= s.beta < s.alpha:
-                raise InputError(
-                    f"stalk pair ({s.alpha}, {s.beta}) is not normalized",
-                    elements=(s.vertex,))
-        for a in self.arrows:
-            if a.vertex not in known:
-                raise InputError("arrow on unknown vertex", elements=(a.vertex,))
-            if not 0 <= a.beta < a.alpha:
-                raise InputError(
-                    f"arrow pair ({a.alpha}, {a.beta}) is not normalized",
-                    elements=(a.vertex,))
+        for kind, pairs, low in (("stalk", self.stalks, 1), ("arrow", self.arrows, 0)):
+            for s in pairs:
+                if s.vertex not in known:
+                    raise InputError(f"{kind} on unknown vertex", elements=(s.vertex,))
+                if not low <= s.beta < s.alpha:
+                    raise InputError(
+                        f"{kind} pair ({s.alpha}, {s.beta}) is not normalized",
+                        elements=(s.vertex,))
+                if gcd(s.alpha, s.beta) != 1:
+                    raise InputError(
+                        f"{kind} pair ({s.alpha}, {s.beta}) at vertex {s.vertex} is not "
+                        f"reduced: gcd {gcd(s.alpha, s.beta)}", elements=(s.vertex,))
         for e in self.edges:
             if e.u not in known or e.v not in known:
                 raise InputError("edge on unknown vertex", elements=(e.u, e.v))

@@ -129,20 +129,23 @@ def chain_gcd(values: list[int]) -> int:
 
 
 def _chain_fraction(weight: dict[int, int], vertices) -> tuple[int, int]:
-    """alpha/(alpha - beta) of the chain read in the given order; 1/1, the
+    """The Seifert pair (alpha, beta) of the chain read in the given order,
+    its value being alpha/(alpha - beta) up to a whole number; (1, 0), the
     trivial pair, for the empty chain of two adjacent nodes.
 
-    Chains of a non-minimal resolution may pass through weights >= -1; the
-    negative continued fraction value is blow-down invariant, so the result
-    is still the reduced pair (degenerate chains raise).
+    Chains of a non-minimal resolution may pass through weights >= -1, and
+    a -1 vertex next to the node moves a whole number into the node weight
+    when it is blown down.  Step 5 recomputes node weights from the balance,
+    so only beta mod alpha matters and any value num/den with den >= 1 is
+    accepted (degenerate chains raise).
     """
     weights = [-weight[vid] for vid in vertices]
     num, den = neg_cf_eval(weights) if weights else (1, 1)
-    if num < 1 or not 1 <= den <= num:
+    if num < 1 or den < 1:
         raise ChainDataError(
             f"chain fraction {num}/{den} along {list(vertices)} is not of "
             f"the form alpha/(alpha-beta)", elements=tuple(vertices))
-    return num, den
+    return num, (num - den) % num
 
 
 def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
@@ -155,8 +158,7 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
 
     stalks = []
     for sc in dec.stalk_chains:
-        alpha, den = _chain_fraction(weight, sc.vertices)
-        beta = alpha - den
+        alpha, beta = _chain_fraction(weight, sc.vertices)
         m_adj = m[sc.vertices[0]]
         expected = m[sc.node] // gcd(m[sc.node], m_adj)
         if alpha != expected:
@@ -164,7 +166,7 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
                 f"inconsistent chain data: stalk fraction has alpha = {alpha} "
                 f"but multiplicities force {expected}",
                 elements=(sc.node, sc.vertices[0]))
-        stalks.append(Stalk(sc.node, alpha, beta % alpha))
+        stalks.append(Stalk(sc.node, alpha, beta))
 
     boundary_stalks = []
     for a in dec.node_arrows:
@@ -173,14 +175,13 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
                 f"arrow multiplicity {a.mult} not supported (need +-1)",
                 elements=(a.vertex,))
         order = m[a.vertex]
-        boundary_stalks.append(
-            BoundaryStalk(a.vertex, order, (-1) % order, Fraction(-1, order)))
+        boundary_stalks.append(BoundaryStalk(a.vertex, order, -a.mult % order,
+                                             Fraction(-a.mult, order)))
 
     edges = []
     for ec in dec.edge_chains:
         mi, mj = m[ec.node_u], m[ec.node_v]
-        alpha, den = _chain_fraction(weight, ec.vertices)
-        beta_u = alpha - den
+        alpha, beta_u = _chain_fraction(weight, ec.vertices)
         n = chain_gcd([mi] + [m[v] for v in ec.vertices] + [mj])
         if mi % n or mj % n:
             raise ChainDataError(

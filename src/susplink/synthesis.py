@@ -24,7 +24,7 @@ from fractions import Fraction
 from .contfrac import cf_dual, neg_cf_eval, neg_cf_expand
 from .errors import BalanceError, MonodromyError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
-from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, adjacency,
+from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph,
                      require_fixed_pieces, unbalanced)
 
 __all__ = ["chain_mults", "synth_plumbing", "blow_down", "normalize_edge_signs",
@@ -142,7 +142,7 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
     for s in sorted(w.stalks, key=lambda s: (s.vertex, s.alpha, s.beta)):
         attach_chain(s.vertex, s.alpha, s.beta, f"stalk ({s.alpha},{s.beta}) of {s.vertex}")
     for a in sorted(w.arrows, key=lambda a: (a.vertex, a.alpha, a.beta)):
-        sign = colors[a.vertex]
+        sign = -colors[a.vertex] if a.reversed else colors[a.vertex]
         last, _ = attach_chain(a.vertex, a.alpha, a.beta,
                                f"arrow ({a.alpha},{a.beta}) of {a.vertex}", sign)
         arrows.append(Arrow(last, sign, "binding"))
@@ -201,10 +201,12 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
     Blowing down a -1 vertex is the Schur complement of the intersection
     form at it (Neumann's move R1): each neighbour gains +1 on its weight,
     and at valence 2 the two neighbours are joined by an edge of sign equal
-    to the product of the removed signs, so det A = -det A'.  Every step is
-    checked against that complement in integers: the neighbours' weights,
-    the edge count and the entry joining the two neighbours.  |det| of the
-    whole form is compared once at the start and once at the end.
+    to the product of the removed signs, so det A = -det A'.  The steps
+    work on one state: a weight per id, the edges in their order with the
+    removed ones set to None and each joining edge appended, and per id its
+    incident edge indices in edge order.  The reduced tree is built once,
+    after the last step, and |det| of the whole form is compared before the
+    first step and after the last.
 
     Only the neighbours of a removed vertex can become candidates, so the
     positions still to look at wait in a heap, and the least one is
@@ -213,63 +215,45 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
     order = tree.ids
     position = {vid: i for i, vid in enumerate(order)}
     weight = {v.id: v.weight for v in tree.vertices}
-    adj = adjacency(order, tree.edges)
+    edges: list[Edge | None] = list(tree.edges)
+    incident: dict[int, dict[int, None]] = {vid: {} for vid in order}
+    for i, e in enumerate(edges):
+        incident[e.u][i] = incident[e.v][i] = None
     pinned = {v.id for v in tree.vertices if v.genus} | {a.vertex for a in tree.arrows}
     worklist = list(range(len(order)))  # sorted, hence a heap
     det = abs(eliminate(tree).determinant)
-    current = tree
     while len(weight) > 1 and worklist:
         vid = order[heapq.heappop(worklist)]
-        if weight.get(vid) != -1 or vid in pinned or len(adj[vid]) > 2:
+        if weight.get(vid) != -1 or vid in pinned or len(incident[vid]) > 2:
             continue
-        ends = adj.pop(vid)
+        ends = []
+        for i in incident.pop(vid):
+            e, edges[i] = edges[i], None
+            n = e.v if e.u == vid else e.u
+            del incident[n][i]
+            ends.append((n, e.sign))
         if len(ends) == 2 and ends[0][0] == ends[1][0]:
             raise UnsupportedError(
                 "blow-down of a vertex with two parallel edges to one "
                 "neighbour is not supported", elements=(vid,))
-        out = _blow_down_once(current, vid)
         del weight[vid]
-        for n, s in ends:
-            adj[n].remove((vid, s))
+        for n, _ in ends:
             weight[n] += 1
             heapq.heappush(worklist, position[n])
         if len(ends) == 2:
             (n1, s1), (n2, s2) = ends
-            adj[n1].append((n2, s1 * s2))
-            adj[n2].append((n1, s1 * s2))
-        if not _is_complement(current, out, ends, weight, adj):
-            after = abs(eliminate(out).determinant)
-            change = (f"changed |det| from {det} to {after}" if after != det
-                      else f"kept |det| = {det}")
-            raise BalanceError(
-                f"blow-down is not the Schur complement at {vid}; it {change}",
-                elements=(vid,))
-        current = out
-    if current is not tree:
-        after = abs(eliminate(current).determinant)
-        if after != det:
-            raise BalanceError(f"blow-down changed |det| from {det} to {after}")
-    return current
-
-
-def _is_complement(before: PlumbingTree, after: PlumbingTree, ends,
-                   weight: dict[int, int], adj) -> bool:
-    """Whether ``after`` is ``before`` with one vertex, whose (neighbour,
-    sign) ends were ``ends``, replaced by its Schur complement: the
-    neighbours weigh as in ``weight``, one edge per end is gone and one
-    joins two ends, and the entry between them is the one ``adj`` gives."""
-    nbrs = {n for n, _ in ends}
-    if (len(after.vertices) != len(before.vertices) - 1
-            or len(after.edges) != len(before.edges) - len(ends) + (len(ends) == 2)
-            or {v.id: v.weight for v in after.vertices if v.id in nbrs}
-            != {n: weight[n] for n in nbrs}):
-        return False
-    if len(ends) < 2:
-        return True
-    (n1, _), (n2, _) = ends
-    joined = ((n1, n2), (n2, n1))
-    return (sum(e.sign for e in after.edges if (e.u, e.v) in joined)
-            == sum(s for n, s in adj[n1] if n == n2))
+            incident[n1][len(edges)] = incident[n2][len(edges)] = None
+            edges.append(Edge(n1, n2, s1 * s2))
+    if len(weight) == len(order):
+        return tree
+    out = PlumbingTree(
+        tuple(v if v.weight == weight[v.id] else replace(v, weight=weight[v.id])
+              for v in tree.vertices if v.id in weight),
+        tuple(e for e in edges if e is not None), tree.arrows)
+    after = abs(eliminate(out).determinant)
+    if after != det:
+        raise BalanceError(f"blow-down changed |det| from {det} to {after}")
+    return out
 
 
 def reduce_tree(tree: PlumbingTree) -> PlumbingTree:
@@ -277,26 +261,6 @@ def reduce_tree(tree: PlumbingTree) -> PlumbingTree:
     if tree.is_tree():
         tree = normalize_edge_signs(tree)
     return blow_down(tree)
-
-
-def _blow_down_once(tree: PlumbingTree, vid: int) -> PlumbingTree:
-    """``tree`` with the vertex ``vid`` of valence <= 2 blown down; only its
-    neighbours are rebuilt, and a joining edge goes last."""
-    edges, ends = [], []
-    for e in tree.edges:
-        if e.u == vid:
-            ends.append((e.v, e.sign))
-        elif e.v == vid:
-            ends.append((e.u, e.sign))
-        else:
-            edges.append(e)
-    if len(ends) == 2:
-        (n1, s1), (n2, s2) = ends
-        edges.append(Edge(n1, n2, s1 * s2))
-    bumped = {n for n, _ in ends}
-    vertices = tuple(replace(v, weight=v.weight + 1) if v.id in bumped else v
-                     for v in tree.vertices if v.id != vid)
-    return PlumbingTree(vertices, tuple(edges), tree.arrows)
 
 
 def normalize_edge_signs(tree: PlumbingTree) -> PlumbingTree:

@@ -16,7 +16,8 @@ incidence-by-incidence:
   An edge reads it once from each end, and eps = -sign(t) completes its
   gluing triplet.  The solid torus around a binding component is a far
   piece of order m' = 1, so a boundary-stalk becomes the binding arrow with
-  that pair.  The vertex label is the integral Euler obstruction
+  that pair, marked reversed when t > 0: the binding then runs against the
+  fibres of its piece.  The vertex label is the integral Euler obstruction
   e = sum sigma_i / lam_i over all incidences.
 
 In the pair, sigma means the representative of its class that makes beta
@@ -82,7 +83,7 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
     for b in n.boundary_stalks:
         alpha, beta, sigma = _seifert_pair(order[b.vertex], 1, b.twist, b.lam, b.sigma,
                                            f"arrow at vertex {b.vertex}")
-        arrows.append(WaldArrow(b.vertex, alpha, beta))
+        arrows.append(WaldArrow(b.vertex, alpha, beta, b.twist > 0))
         euler[b.vertex] += Fraction(sigma, b.lam)
 
     edges = []
@@ -90,11 +91,8 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
         mu, mv = order[e.u], order[e.v]
         alpha, beta_u, sigma_u = _seifert_pair(mu, mv, e.twist, e.lam_u, e.sigma_u,
                                                f"edge ({e.u}, {e.v}) at {e.u}")
-        alpha_v, beta_v, sigma_v = _seifert_pair(mv, mu, e.twist, e.lam_v, e.sigma_v,
-                                                 f"edge ({e.u}, {e.v}) at {e.v}")
-        if alpha != alpha_v:
-            raise NormalizationError(
-                f"edge alpha mismatch between the two ends: {alpha} vs {alpha_v}")
+        _, beta_v, sigma_v = _seifert_pair(mv, mu, e.twist, e.lam_v, e.sigma_v,
+                                           f"edge ({e.u}, {e.v}) at {e.v}")
         if (beta_u * beta_v) % alpha != 1 % alpha:
             raise NormalizationError(
                 f"edge duality failure: {beta_u} * {beta_v} != 1 mod {alpha}")

@@ -125,7 +125,7 @@ def test_criterion_2_example2():
         assert {node_weight[e.u], node_weight[e.v]} == {-1, -5}
 
     det_before = abs(determinant(tree))
-    reduced = blow_down(tree)  # checks every blow-down against the Schur complement
+    reduced = blow_down(tree)  # compares |det| before the first and after the last step
     assert sorted(v.weight for v in reduced.vertices) == [-3, -3]
     assert len(reduced.edges) == 2
     assert intersection_matrix(reduced) == [[-3, 2], [2, -3]]

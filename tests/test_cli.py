@@ -318,3 +318,15 @@ def test_cli_fuzz_exits_0_or_reports_the_stage(run):
             code = main([argv[0], str(path), *argv[1:]])
     assert (code, err.getvalue()) == (0, "") or (
         code == 1 and err.getvalue().startswith("error [")), (code, err.getvalue())
+
+
+def test_non_reduced_seifert_pair_names_the_pair_and_the_piece(tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"schema": "susplink/waldhausen:1",
+                                "vertices": [{"id": 1, "e": -1, "order": 4}],
+                                "arrows": [{"vertex": 1, "alpha": 4, "beta": 2}]}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "plumbing", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error [plumbing] arrow pair (4, 2) at vertex 1 is not reduced: "
+                   "gcd 2 (elements: 1)\n")

@@ -4,7 +4,7 @@ from susplink.graphs import ResArrow, ResolutionGraph
 from susplink.invariants import determinant
 from susplink.pipeline import StageError, run_pipeline
 from susplink.report import render_json_dict, render_text
-from susplink.serialize import to_dict
+from susplink.serialize import from_json, to_dict, to_json
 
 
 def test_stage_outputs_compose(ex1_graph):
@@ -82,3 +82,66 @@ def test_empty_report_has_schema_header():
     from susplink.report import render_json_dict
 
     assert render_json_dict(None) == {"schema": "susplink/report:1"}
+
+
+# (x^2+y^3)*conj(x^3+y^4): the f branch meets vertex 2 where m^f < m^g, so
+# step 1 flips it and the f arrow leaves against its piece (mult -1)
+REVERSED_ARROW = """\
+vertex 1 weight=-2 mf=3 mg=4
+vertex 2 weight=-2 mf=6 mg=8
+vertex 3 weight=-1 mf=8 mg=12
+vertex 4 weight=-4 mf=2 mg=3
+edge 1 2
+edge 2 3
+edge 3 4
+arrow 2 side=f
+arrow 3 side=g
+"""
+
+# (x^2+y^3)*conj(x^4+y^5), the same situation on a five-vertex chain
+REVERSED_ARROW_5 = """\
+vertex 1 weight=-2 mf=3 mg=5
+vertex 2 weight=-2 mf=6 mg=10
+vertex 3 weight=-2 mf=8 mg=15
+vertex 4 weight=-1 mf=10 mg=20
+vertex 5 weight=-5 mf=2 mg=4
+edge 1 2
+edge 2 3
+edge 3 4
+edge 4 5
+arrow 2 side=f
+arrow 4 side=g
+"""
+
+
+def test_reversed_binding_arrow_is_a_sphere_at_r1():
+    """At r = 1 the link is S^3 whatever the arrows' orientation."""
+    result = run_pipeline(REVERSED_ARROW, 1, reduce=True)
+    assert [a.mult for a in result.multiplicity.arrows] == [-1, 1]
+    assert [a.reversed for a in result.waldhausen.arrows] == [True, False]
+    assert [a.mult for a in result.plumbing_full.arrows] == [-1, 1]
+    assert len(result.blowdown.vertices) == 1
+    assert abs(result.obstructions.determinant) == 1
+
+
+def test_reversed_binding_arrow_runs():
+    """On the step-1 tree (|m| = 2, 4, 7, 10, 2, arrows at 2 and 4) the
+    monodromy has Delta(t) = (t-1)(t^4-1)(t^10-1)/(t^2-1)^2; the join
+    theorem gives |H_1| = |Delta(-1)| = 20 at r = 2."""
+    assert abs(run_pipeline(REVERSED_ARROW_5, 1, reduce=True).obstructions.determinant) == 1
+    result = run_pipeline(REVERSED_ARROW_5, 2, reduce=True)
+    assert result.blowdown.is_tree()
+    assert abs(result.obstructions.determinant) == 20
+    assert from_json(to_json(result.waldhausen)) == result.waldhausen
+    assert [a.reversed for a in result.waldhausen.arrows] == [True, False]
+    written = to_dict(result.waldhausen)["arrows"]
+    assert written[0]["reversed"] is True and "reversed" not in written[1]
+
+
+@pytest.mark.parametrize("r,det", [(1, 1), (2, 3), (3, 4), (5, 1)])
+def test_leaf_chain_below_one(r, det):
+    """The f side keeps g's -1 vertex next to the node, so the leaf chain
+    [3, 4] has value 3/4.  x^2 + y^3 + z^r is smooth, A2, D4 and E8 at
+    r = 1, 2, 3, 5."""
+    result = run_pipeline(REVERSED_ARROW, r, side="f", reduce=True)
+    assert abs(result.obstructions.determinant) == det

@@ -212,72 +212,59 @@ def test_blow_down_valence_one():
     assert [(v.id, v.weight) for v in reduced.vertices] == [(2, -2)]
 
 
-def test_blow_down_checks_every_step(monkeypatch):
-    """A step that breaks |det| is caught, not only the first one."""
-    real = synthesis._blow_down_once
-    steps = []
-
-    def corrupted(tree, vid):
-        out = real(tree, vid)
-        steps.append(vid)
-        if len(steps) == 2:
-            first = out.vertices[0]
-            out = PlumbingTree((replace(first, weight=first.weight - 1),)
-                               + out.vertices[1:], out.edges, out.arrows)
-        return out
-
-    monkeypatch.setattr(synthesis, "_blow_down_once", corrupted)
-    tree = PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate([-1, -2, -2, -2], 1)),
-                        (Edge(1, 2), Edge(2, 3), Edge(3, 4)))
-    with pytest.raises(BalanceError, match=r"changed \|det\| from 1 to 3"):
-        blow_down(tree)
-    assert steps == [1, 2]
-
-
 def _chain(weights):
     return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights, 1)),
                         tuple(Edge(i, i + 1) for i in range(1, len(weights))))
 
 
-def test_blow_down_checks_the_joining_sign(monkeypatch):
-    """On a tree, a joining edge of sign -s1*s2 leaves |det| unchanged; the
-    Schur-complement check still rejects it."""
-    real = synthesis._blow_down_once
-
-    def wrong_sign(tree, vid):
-        out = real(tree, vid)
-        if sum(vid in (e.u, e.v) for e in tree.edges) == 2:  # the joining edge is last
-            last = out.edges[-1]
-            out = PlumbingTree(out.vertices,
-                               out.edges[:-1] + (replace(last, sign=-last.sign),), out.arrows)
-        return out
-
-    monkeypatch.setattr(synthesis, "_blow_down_once", wrong_sign)
-    tree = _chain([-2, -1, -3])
-    assert abs(determinant(intersection_matrix(wrong_sign(tree, 2)))) == 1
-    with pytest.raises(BalanceError, match=r"not the Schur complement at 2; it kept \|det\| = 1"):
-        blow_down(tree)
-
-
 def test_blow_down_checks_det_at_the_end(monkeypatch):
-    """A corrupted vertex away from the step passes the local check and is
-    caught by the |det| comparison after the last step."""
-    real = synthesis._blow_down_once
-    steps = []
+    """A reduced form whose |det| differs from the input's ends in the
+    |det| comparison after the last step; the fault is injected into the
+    final elimination."""
+    calls = []
 
-    def far_corruption(tree, vid):
-        out = real(tree, vid)
-        steps.append(vid)
-        if vid == 1:
-            last = out.vertices[-1]
-            out = PlumbingTree(out.vertices[:-1] + (replace(last, weight=last.weight - 1),),
-                               out.edges, out.arrows)
-        return out
+    def corrupted(graph, rhs=None):
+        calls.append(len(graph.vertices))
+        if len(calls) == 2:
+            first = graph.vertices[0]
+            graph = PlumbingTree((replace(first, weight=first.weight - 1),)
+                                 + graph.vertices[1:], graph.edges, graph.arrows)
+        return eliminate(graph, rhs)
 
-    monkeypatch.setattr(synthesis, "_blow_down_once", far_corruption)
-    with pytest.raises(BalanceError, match=r"^blow-down changed \|det\| from 9 to 11$"):
-        blow_down(_chain([-1, -2, -3, -5]))
-    assert steps == [1, 2]
+    monkeypatch.setattr(synthesis, "eliminate", corrupted)
+    with pytest.raises(BalanceError, match=r"^blow-down changed \|det\| from 1 to 2$"):
+        blow_down(_chain([-1, -2, -2, -2]))
+    assert calls == [4, 1]
+
+
+def test_blow_down_joining_sign():
+    """Blowing down the middle of a signed chain joins its ends by an edge
+    of sign s1*s2, oriented from the far end of the first incident edge,
+    exactly as the reference does; the arrow keeps the -1 end from being
+    blown down in turn."""
+    def chain(signs):
+        return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate([-2, -1, -3], 1)),
+                            (Edge(2, 1, signs[0]), Edge(2, 3, signs[1])), (Arrow(1),))
+
+    for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+        reduced = blow_down(chain(signs))
+        assert reduced == PlumbingTree((Vertex(1, -1), Vertex(3, -2)),
+                                       (Edge(1, 3, signs[0] * signs[1]),), (Arrow(1),))
+        assert reduced == blowdown_reference.blow_down(chain(signs))
+
+
+def test_blow_down_builds_one_tree(monkeypatch):
+    """199 blow-downs build the reduced tree once, after the last step."""
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return PlumbingTree(*args, **kwargs)
+
+    tree = _chain([-1] + [-2] * 199)
+    monkeypatch.setattr(synthesis, "PlumbingTree", counting)
+    assert blow_down(tree) == PlumbingTree((Vertex(200, -1),))
+    assert len(built) == 1
 
 
 def test_blow_down_eliminates_twice(monkeypatch):

@@ -1,14 +1,19 @@
+import re
 from fractions import Fraction
 
 import pytest
 
-from susplink.errors import NormalizationError, UnsupportedError
+from susplink.errors import InputError, NormalizationError, UnsupportedError
 from susplink.graphs import (
     BoundaryStalk,
     NielsenEdge,
     NielsenGraph,
     NielsenVertex,
     Stalk,
+    WaldArrow,
+    WaldhausenGraph,
+    WaldStalk,
+    WaldVertex,
 )
 from susplink.nielsen import build_nielsen
 from susplink.power import power_nielsen
@@ -117,3 +122,24 @@ def test_edge_duality_is_checked_in_step_4():
     with pytest.raises(NormalizationError,
                        match=r"^edge duality failure: 0 \* 0 != 1 mod 2$"):
         nielsen_to_waldhausen(n)
+
+
+@pytest.mark.parametrize("stalks,arrows,message", [
+    ((WaldStalk(1, 6, 4),), (), "stalk pair (6, 4) at vertex 1 is not reduced: gcd 2"),
+    ((), (WaldArrow(1, 4, 2),), "arrow pair (4, 2) at vertex 1 is not reduced: gcd 2"),
+], ids=["stalk", "arrow"])
+def test_rejects_non_reduced_pairs(stalks, arrows, message):
+    with pytest.raises(InputError, match=re.escape(message)) as info:
+        WaldhausenGraph((WaldVertex(1, -1, 0),), stalks, arrows)
+    assert info.value.elements == (1,)
+
+
+def test_reversed_boundary_stalk_gives_a_reversed_arrow():
+    """A positive boundary twist marks the binding arrow as reversed; the
+    Seifert pair is the same as for the opposite twist."""
+    def arrow(sigma, twist):
+        n = NielsenGraph((NielsenVertex(1, 4, 0),), (Stalk(1, 4, 4 - sigma),),
+                         (BoundaryStalk(1, 4, sigma, Fraction(twist, 4)),))
+        return nielsen_to_waldhausen(n).arrows
+    assert arrow(3, -1) == (WaldArrow(1, 1, 0),)
+    assert arrow(1, 1) == (WaldArrow(1, 1, 0, True),)
