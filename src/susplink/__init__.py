@@ -64,8 +64,6 @@ from .nielsen import Decomposition, EdgeChain, StalkChain, build_nielsen, decomp
 from .pipeline import PipelineResult, StageError, run_pipeline
 from .power import power_nielsen, valency_formula_notes
 from .resolve import (
-    check_fibred,
-    multiplicity_diffs,
     parse_resolution,
     product_multiplicity_tree,
     solve_monodromical,

@@ -32,7 +32,7 @@ from .nielsen import build_nielsen
 from .pipeline import StageError, run_pipeline
 from .power import power_nielsen
 from .report import render_graph_text, render_json_dict, render_text
-from .resolve import parse_resolution, subtract_and_normalize
+from .resolve import SIDE_COEFFS, parse_resolution, subtract_and_normalize
 from .serialize import frac_str, from_json, to_dot, to_json
 from .synthesis import reduce_tree, strip_decorations, synth_plumbing
 from .waldhausen import nielsen_to_waldhausen
@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("step1", help="multiplicity tree of the decorated input")
     common(p)
-    p.add_argument("--side", choices=("fg", "f", "g"), default="fg")
+    p.add_argument("--side", choices=tuple(SIDE_COEFFS), default="fg")
 
     p = sub.add_parser("nielsen", help="Nielsen graph of the monodromy")
     common(p)
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.add_argument("-r", type=int, default=2, help="suspension exponent (default 2)")
-    p.add_argument("--side", choices=("fg", "f", "g"), default="fg")
+    p.add_argument("--side", choices=tuple(SIDE_COEFFS), default="fg")
     p.add_argument("--keep-arrows", action="store_true")
     p.add_argument("--blow-down", action="store_true")
     return parser

@@ -254,21 +254,6 @@ class ResolutionGraph:
     def has_multiplicities(self) -> bool:
         return bool(self.vertices) and self.vertices[0].mf is not None
 
-    def node_ids(self) -> tuple[int, ...]:
-        return node_ids(self.ids, self.edges, [a.vertex for a in self.arrows],
-                        {v.id: v.genus for v in self.vertices})
-
-
-def node_ids(ids, edge_pairs, arrow_vertices, genus_by_id) -> tuple[int, ...]:
-    """Nodes: vertices with edge-valence + arrow count >= 3, or genus >= 1."""
-    valence = {i: 0 for i in ids}
-    for u, v in edge_pairs:
-        valence[u] += 1
-        valence[v] += 1
-    for a in arrow_vertices:
-        valence[a] += 1
-    return tuple(i for i in ids if valence[i] >= 3 or genus_by_id[i] >= 1)
-
 
 # ---------------------------------------------------------------------------
 # Orientation-normalized multiplicity tree
@@ -311,9 +296,14 @@ class MultPlumbing:
         return tuple(v.id for v in self.vertices)
 
     def node_ids(self) -> tuple[int, ...]:
-        return node_ids(self.ids, [(e.u, e.v) for e in self.edges],
-                        [a.vertex for a in self.arrows],
-                        {v.id: v.genus for v in self.vertices})
+        """Nodes: vertices with edge-valence + arrow count >= 3, or genus >= 1."""
+        valence = dict.fromkeys(self.ids, 0)
+        for e in self.edges:
+            valence[e.u] += 1
+            valence[e.v] += 1
+        for a in self.arrows:
+            valence[a.vertex] += 1
+        return tuple(v.id for v in self.vertices if valence[v.id] >= 3 or v.genus >= 1)
 
 
 # ---------------------------------------------------------------------------

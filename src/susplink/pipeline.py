@@ -63,8 +63,6 @@ def _stage(name: str):
     def wrap(fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except StageError:
-            raise
         except PlumbingError as exc:
             raise StageError(name, exc) from exc
     return wrap
@@ -96,12 +94,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
     reduced = None
     if reduce:
         reduced = _stage("blowdown")(reduce_tree, tree)
-    product_mp = None
-    if side == "fg" and graph.arrows:
-        try:
-            product_mp = product_multiplicity_tree(graph)
-        except PlumbingError:
-            product_mp = None  # product data is advisory, never fatal
+    product_mp = product_multiplicity_tree(graph) if side == "fg" and graph.arrows else None
     obstructions = _stage("invariants")(
         obstruction_report, mp, tree_full, r, product_mp)
     return PipelineResult(

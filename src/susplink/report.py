@@ -62,7 +62,8 @@ def describe_waldhausen(w: WaldhausenGraph) -> list[str]:
     for s in w.stalks:
         lines.append(f"  stalk at {s.vertex}: ({s.alpha},{s.beta})")
     for a in w.arrows:
-        lines.append(f"  arrow at {a.vertex}: ({a.alpha},{a.beta})")
+        lines.append(f"  arrow at {a.vertex}: ({a.alpha},{a.beta})"
+                     + (" reversed" if a.reversed else ""))
     for e in w.edges:
         lines.append(f"  edge {e.u} -> {e.v}: ({e.eps:+d},{e.alpha},{e.beta_u})"
                      f" [beta' = {e.beta_v}]")

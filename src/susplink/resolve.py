@@ -7,9 +7,10 @@ multiplicity systems
     M * (m_1, ..., m_s)^t + b(L)^t = 0
 
 are solved (or verified, when the file already carries the decorations), the
-per-vertex difference m = m^f - m^g is formed, fibredness is tested at the
-nodes, and negative multiplicities are turned positive while recording a -1
-edge sign wherever a flipped region meets an unflipped one.
+signed sum m = c_f m^f + c_g m^g is formed (m^f - m^g for the mixed germ),
+fibredness is tested at the nodes, and negative multiplicities are turned
+positive while recording a -1 edge sign wherever a flipped region meets an
+unflipped one.
 """
 
 from __future__ import annotations
@@ -31,7 +32,10 @@ from .graphs import (
     unbalanced,
 )
 
-_SIDES = ("fg", "f", "g")
+# m = c_f m^f + c_g m^g: the coefficients of each side's link.  A side with
+# c = 0 is not solved and its arrows are dropped; the others keep their
+# arrows at mult c.
+SIDE_COEFFS = {"fg": {"f": 1, "g": -1}, "f": {"f": 1, "g": 0}, "g": {"f": 0, "g": 1}}
 
 
 def parse_resolution(text: str) -> ResolutionGraph:
@@ -145,31 +149,9 @@ def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
     return [int(x) for x in solution]
 
 
-def multiplicity_diffs(graph: ResolutionGraph, side: str = "fg") -> dict[int, int]:
-    """Per-vertex signed multiplicity of the requested link.
-
-    side "fg" gives m^f - m^g (the mixed germ); "f" and "g" restrict to one
-    holomorphic side, which is the classical suspension oracle case.
-    """
-    if side not in _SIDES:
-        raise InputError(f"side must be one of {_SIDES}, got {side!r}")
-    mf = solve_monodromical(graph, "f") if side in ("fg", "f") else None
-    mg = solve_monodromical(graph, "g") if side in ("fg", "g") else None
-    ids = graph.ids
-    if side == "fg":
-        return {i: a - b for i, a, b in zip(ids, mf, mg)}
-    values = mf if side == "f" else mg
-    return dict(zip(ids, values))
-
-
-def check_fibred(graph: ResolutionGraph, diffs: dict[int, int]) -> tuple[bool, tuple[int, ...]]:
-    """True iff every node has a nonzero multiplicity; also returns violators."""
-    violators = tuple(n for n in graph.node_ids() if diffs[n] == 0)
-    return not violators, violators
-
-
 def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlumbing:
-    """Form |m^f - m^g| with flip flags and -1 boundary edge signs.
+    """Form |m| for m = sum of c_s m^s over the sides (``SIDE_COEFFS``),
+    with flip flags and -1 boundary edge signs.
 
     Vertices with m = 0 are assigned to the unflipped side, so the -1 signs
     land on the edges where a zero chain meets the flipped region; any single
@@ -179,26 +161,44 @@ def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlum
     A single side ("f" or "g") keeps only that side's branches, positively
     oriented: the classical holomorphic suspension used as an oracle.
     """
-    diffs = multiplicity_diffs(graph, side)
-    work = graph
-    if side != "fg":
-        work = ResolutionGraph(
-            graph.vertices, graph.edges,
-            tuple(ResArrow(a.vertex, "f", 1)
-                  for a in graph.arrows if a.side == side))
-    ok, violators = check_fibred(work, diffs)
-    if not ok:
+    if side not in SIDE_COEFFS:
+        raise InputError(f"side must be one of {tuple(SIDE_COEFFS)}, got {side!r}")
+    mp = _combined_tree(graph, SIDE_COEFFS[side])
+    nodes = set(mp.node_ids())
+    violators = tuple(v.id for v in mp.vertices if v.id in nodes and v.m == 0)
+    if violators:
         raise FibrednessError(
             "link is not fibred: node multiplicities m^f = m^g",
             elements=violators)
-    return normalize_signed(work, diffs)
+    return mp
 
 
-def normalize_signed(graph: ResolutionGraph, signed: dict[int, int]) -> MultPlumbing:
+def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
+    """Multiplicity tree of the holomorphic product germ (m = m^f + m^g).
+
+    Used to compare the fibre of the mixed germ with the fibre of the
+    product, as in the genus-1 versus genus-5 contrast.
+    """
+    return _combined_tree(graph, {"f": 1, "g": 1})
+
+
+def _combined_tree(graph: ResolutionGraph, coeffs: dict[str, int]) -> MultPlumbing:
+    """Solve each side with a nonzero coefficient once and normalize the sum."""
+    signed = dict.fromkeys(graph.ids, 0)
+    for side, c in coeffs.items():
+        if c:
+            for i, m in zip(graph.ids, solve_monodromical(graph, side)):
+                signed[i] += c * m
+    return normalize_signed(graph, signed, coeffs)
+
+
+def normalize_signed(graph: ResolutionGraph, signed: dict[int, int],
+                     coeffs: dict[str, int]) -> MultPlumbing:
     """Orientation normalization of a signed multiplicity assignment.
 
-    Idempotent: feeding the signed multiplicities read off the result
-    (negated on flipped vertices) reproduces the same tree.
+    An arrow of a side with coefficient c != 0 keeps mult c, negated on a
+    flipped vertex.  Idempotent: feeding the signed multiplicities read off
+    the result (negated on flipped vertices) reproduces the same tree.
     """
     flipped = {i: signed[i] < 0 for i in graph.ids}
     vertices = tuple(
@@ -209,24 +209,7 @@ def normalize_signed(graph: ResolutionGraph, signed: dict[int, int]) -> MultPlum
         Edge(u, v, -1 if flipped[u] != flipped[v] else 1) for u, v in graph.edges
     )
     arrows = tuple(
-        Arrow(a.vertex, a.mult * (-1 if flipped[a.vertex] else 1))
-        for a in graph.arrows
+        Arrow(a.vertex, coeffs[a.side] * (-1 if flipped[a.vertex] else 1))
+        for a in graph.arrows if coeffs[a.side]
     )
     return MultPlumbing(vertices, edges, arrows)
-
-
-def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
-    """Multiplicity tree of the holomorphic product germ (m = m^f + m^g).
-
-    Used to compare the fibre of the mixed germ with the fibre of the
-    product, as in the genus-1 versus genus-5 contrast.
-    """
-    mf = solve_monodromical(graph, "f")
-    mg = solve_monodromical(graph, "g")
-    sums = {i: a + b for i, a, b in zip(graph.ids, mf, mg)}
-    plain = ResolutionGraph(
-        graph.vertices,
-        graph.edges,
-        tuple(ResArrow(a.vertex, "f", 1) for a in graph.arrows),
-    )
-    return normalize_signed(plain, sums)

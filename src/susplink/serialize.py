@@ -251,8 +251,9 @@ def to_dot(graph) -> str:
             lines.append(f'  v{s.vertex} -- s{i} [label="({s.alpha},{s.beta})"];')
         for i, a in enumerate(graph.arrows):
             lines.append(f'  a{i} [shape=none, label=""];')
+            rev = " reversed" if a.reversed else ""
             lines.append(
-                f'  v{a.vertex} -- a{i} [style=bold, label="({a.alpha},{a.beta})"];')
+                f'  v{a.vertex} -- a{i} [style=bold, label="({a.alpha},{a.beta}){rev}"];')
         for e in graph.edges:
             lines.append(
                 f'  v{e.u} -- v{e.v} '

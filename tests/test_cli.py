@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from susplink.cli import main
 from susplink.pipeline import run_pipeline
-from susplink.serialize import to_dict
-from conftest import DATA
+from susplink.serialize import to_dict, to_json
+from conftest import DATA, read_input
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -91,6 +91,27 @@ def test_error_exit_code_and_stage(tmp_path, capsys):
     assert out == ""
     assert "step1" in err and "not fibred" in err
     assert err.count("(elements: 1)") == 1
+
+
+def test_missing_input_file_is_an_os_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "pipeline", str(tmp_path / "absent.txt"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "absent.txt" in err
+
+
+def test_plumbing_text_output_is_the_pipeline_step5(tmp_path, capsys):
+    """The plumbing subcommand's text rendering lists the vertices and edges
+    the pipeline report prints as its step 5."""
+    w = tmp_path / "w.json"
+    w.write_text(to_json(run_pipeline(read_input("ex2.txt"), 2).waldhausen), encoding="utf-8")
+    code, out, err = run_cli(capsys, "plumbing", str(w), "--format", "text")
+    assert code == 0 and err == ""
+    head, *body = out.splitlines()
+    assert head == "plumbing tree" and body
+    _, report, _ = run_cli(capsys, "pipeline", str(DATA / "ex2.txt"), "-r", "2")
+    step5 = report.split("step 5: plumbing tree\n", 1)[1]
+    assert step5.splitlines()[:len(body)] == body
 
 
 def test_wrong_stage_input_is_rejected(tmp_path, capsys):

@@ -12,7 +12,7 @@ from susplink.graphs import (
     unbalanced,
 )
 from susplink.invariants import fibre_euler
-from susplink.resolve import normalize_signed, subtract_and_normalize
+from susplink.resolve import SIDE_COEFFS, normalize_signed, subtract_and_normalize
 from susplink.synthesis import blow_down, normalize_edge_signs
 from dense_linalg import determinant
 from graph_helpers import multiplicity_to_plumbing, signed_mults
@@ -93,7 +93,7 @@ def test_symmetric_rep_is_in_class_and_minimal(lam, sigma):
 def test_fibre_euler_orientation_flip_invariant(ex3_graph):
     mp = subtract_and_normalize(ex3_graph)
     reversed_link = normalize_signed(
-        ex3_graph, {i: -m for i, m in signed_mults(mp).items()})
+        ex3_graph, {i: -m for i, m in signed_mults(mp).items()}, SIDE_COEFFS["fg"])
     assert fibre_euler(mp) == fibre_euler(reversed_link)
 
 

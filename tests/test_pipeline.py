@@ -3,8 +3,8 @@ import pytest
 from susplink.graphs import ResArrow, ResolutionGraph
 from susplink.invariants import determinant
 from susplink.pipeline import StageError, run_pipeline
-from susplink.report import render_json_dict, render_text
-from susplink.serialize import from_json, to_dict, to_json
+from susplink.report import describe_waldhausen, render_json_dict, render_text
+from susplink.serialize import from_json, to_dict, to_dot, to_json
 
 
 def test_stage_outputs_compose(ex1_graph):
@@ -136,6 +136,18 @@ def test_reversed_binding_arrow_runs():
     assert [a.reversed for a in result.waldhausen.arrows] == [True, False]
     written = to_dict(result.waldhausen)["arrows"]
     assert written[0]["reversed"] is True and "reversed" not in written[1]
+
+
+def test_reversed_binding_arrow_renders_apart():
+    """At r = 1 both binding arrows are the pair (1,0); the text and dot
+    renderings of the Waldhausen graph mark the reversed one."""
+    result = run_pipeline(REVERSED_ARROW, 1)
+    text = [line for line in describe_waldhausen(result.waldhausen) if "arrow" in line]
+    assert text == ["  arrow at 2: (1,0) reversed", "  arrow at 3: (1,0)"]
+    assert text[0] in render_text(result).splitlines()
+    dot = [line for line in to_dot(result.waldhausen).splitlines() if "style=bold" in line]
+    assert dot == ['  v2 -- a0 [style=bold, label="(1,0) reversed"];',
+                   '  v3 -- a1 [style=bold, label="(1,0)"];']
 
 
 @pytest.mark.parametrize("r,det", [(1, 1), (2, 3), (3, 4), (5, 1)])

@@ -5,8 +5,7 @@ from susplink.errors import (FibrednessError, InputError, MonodromyError, NotATr
                              PlumbingError)
 from susplink.graphs import ResolutionGraph, ResVertex
 from susplink.resolve import (
-    check_fibred,
-    multiplicity_diffs,
+    SIDE_COEFFS,
     normalize_signed,
     parse_resolution,
     product_multiplicity_tree,
@@ -128,8 +127,8 @@ def test_solve_ex2_derives_decorations(ex2_graph):
     # differences (1, 2, 0, -2, -1)
     assert solve_monodromical(ex2_graph, "f") == [3, 6, 2, 4, 2]
     assert solve_monodromical(ex2_graph, "g") == [2, 4, 2, 6, 3]
-    diffs = multiplicity_diffs(ex2_graph)
-    assert [diffs[i] for i in ex2_graph.ids] == [1, 2, 0, -2, -1]
+    signed = signed_mults(subtract_and_normalize(ex2_graph))
+    assert [signed[i] for i in ex2_graph.ids] == [1, 2, 0, -2, -1]
 
 
 def test_supplied_multiplicities_are_verified():
@@ -145,19 +144,22 @@ def test_degenerate_system():
 
 
 def test_check_fibred(ex1_graph, ex2_graph):
-    ok, bad = check_fibred(ex1_graph, multiplicity_diffs(ex1_graph))
-    assert ok and bad == ()
-    ok, bad = check_fibred(ex2_graph, multiplicity_diffs(ex2_graph))
-    assert ok
+    subtract_and_normalize(ex1_graph)
+    subtract_and_normalize(ex2_graph)
     # same branch on both sides: node difference vanishes
     square = parse_resolution(
         "vertex 1 weight=-1\nvertex 2 weight=-2\nedge 1 2\n"
         "arrow 1 side=f\narrow 1 side=g\n")
-    diffs = multiplicity_diffs(square)
-    ok, bad = check_fibred(square, diffs)
-    assert not ok and bad == (1,)
-    with pytest.raises(FibrednessError):
+    with pytest.raises(FibrednessError, match="not fibred") as info:
         subtract_and_normalize(square)
+    assert info.value.elements == (1,)
+    # one side alone is fibred: m^f = (2, 1)
+    assert [v.m for v in subtract_and_normalize(square, "f").vertices] == [2, 1]
+
+
+def test_unknown_side_names_the_sides(ex1_graph):
+    with pytest.raises(InputError, match=r"side must be one of \('fg', 'f', 'g'\), got 'x'"):
+        subtract_and_normalize(ex1_graph, "x")
 
 
 def test_subtract_and_normalize_ex1(ex1_graph):
@@ -195,7 +197,7 @@ def test_side_selection(ex1_graph):
 def test_normalize_idempotent(ex1_graph, ex3_graph):
     for graph in (ex1_graph, ex3_graph):
         mp = subtract_and_normalize(graph)
-        again = normalize_signed(graph, signed_mults(mp))
+        again = normalize_signed(graph, signed_mults(mp), SIDE_COEFFS["fg"])
         assert again == mp
 
 
@@ -218,7 +220,7 @@ def test_flip_parity_on_random_paths(weights, flip_start):
     graph = ResolutionGraph(vertices, edges, ())
     signed = {i + 1: (i + 1) * (-1 if i >= flip_start % n else 1)
               for i in range(n)}
-    mp = normalize_signed(graph, signed)
+    mp = normalize_signed(graph, signed, SIDE_COEFFS["fg"])
     flipped = {v.id: v.flipped for v in mp.vertices}
     crossings = sum(1 for e in mp.edges if flipped[e.u] != flipped[e.v])
     assert sum(1 for e in mp.edges if e.sign == -1) == crossings
