@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import InputError, PlumbingError
 from .graphs import (
@@ -81,7 +82,10 @@ def _graph_output(graph, fmt: str) -> str:
     return to_json(graph) + "\n"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call: ``main``
+    may run many times in one process, and ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="susplink",
         description="plumbing description and obstruction invariants of "

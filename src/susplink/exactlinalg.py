@@ -50,6 +50,11 @@ def eliminate(graph, rhs=None) -> Elimination:
     alive = [True] * n
     heap = [(len(row), i) for i, row in enumerate(off)]
     heapq.heapify(heap)
+    # A vertex the 2x2 search passes over is dead, or has no off-diagonal
+    # entry and so is no block's neighbour; fill-in only joins two
+    # neighbours of a block, so that vertex never qualifies again and the
+    # search resumes where it stopped.
+    cursor = 0
     det, definite, steps, remaining = (1, 1), True, [], n
     while remaining:
         while heap:
@@ -60,11 +65,13 @@ def eliminate(graph, rhs=None) -> Elimination:
                 definite = definite and diag[v][0] < 0
                 break
         else:
-            v = next((i for i in range(n) if alive[i] and off[i]), None)
-            if v is None:
+            while cursor < n and not (alive[cursor] and off[cursor]):
+                cursor += 1
+            if cursor == n:
                 if rhs is not None:
                     raise MonodromyError("degenerate monodromical system: singular matrix")
                 return Elimination(0, False, None)
+            v = cursor
             w = min(off[v])
             c = off[v][w]
             block, inverse = (v, w), {(v, w): _inverse(c), (w, v): _inverse(c)}

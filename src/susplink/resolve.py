@@ -167,8 +167,9 @@ def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlum
     nodes = set(mp.node_ids())
     violators = tuple(v.id for v in mp.vertices if v.id in nodes and v.m == 0)
     if violators:
+        vanishing = "m^f = m^g" if side == "fg" else f"m^{side} = 0"
         raise FibrednessError(
-            "link is not fibred: node multiplicities m^f = m^g",
+            f"link is not fibred: node multiplicities {vanishing}",
             elements=violators)
     return mp
 

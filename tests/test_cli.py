@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from susplink.cli import main
+from susplink.cli import build_parser, main
 from susplink.pipeline import run_pipeline
+from susplink.resolve import parse_resolution, subtract_and_normalize
 from susplink.serialize import to_dict, to_json
 from conftest import DATA, read_input
 
@@ -351,3 +352,49 @@ def test_non_reduced_seifert_pair_names_the_pair_and_the_piece(tmp_path, capsys)
     assert (code, out) == (1, "")
     assert err == ("error [plumbing] arrow pair (4, 2) at vertex 1 is not reduced: "
                    "gcd 2 (elements: 1)\n")
+
+
+# -- one parser per process ---------------------------------------------------
+
+def _main_as_fresh(argv):
+    """``main(argv)``, after checking that the shared parser reads ``argv``
+    as a freshly built one does."""
+    assert build_parser().parse_args(argv) == build_parser.__wrapped__().parse_args(argv)
+    return main(argv)
+
+
+def test_one_parser_serves_successive_calls(tmp_path, capsys):
+    """A usage error or an option of one call leaves nothing behind for the
+    next call in the same process."""
+    assert build_parser() is build_parser()
+    ex1 = str(DATA / "ex1.txt")
+    with pytest.raises(SystemExit) as info:
+        main(["pipeline", ex1, "-r", "x"])
+    assert info.value.code == 2
+    assert _main_as_fresh(["pipeline", ex1, "-r", "3"]) == 0
+
+    g, fg = tmp_path / "g.json", tmp_path / "fg.json"
+    assert _main_as_fresh(["step1", ex1, "--side", "g", "-o", str(g)]) == 0
+    assert _main_as_fresh(["step1", ex1, "-o", str(fg)]) == 0
+    expected = to_json(subtract_and_normalize(parse_resolution(read_input("ex1.txt")))) + "\n"
+    assert fg.read_text(encoding="utf-8") == expected != g.read_text(encoding="utf-8")
+
+    w, kept, stripped = (tmp_path / name for name in ("w.json", "kept.json", "stripped.json"))
+    w.write_text(to_json(run_pipeline(read_input("ex1.txt"), 3).waldhausen), encoding="utf-8")
+    assert _main_as_fresh(["plumbing", str(w), "--keep-arrows", "-o", str(kept)]) == 0
+    assert _main_as_fresh(["plumbing", str(w), "-o", str(stripped)]) == 0
+    assert json.loads(kept.read_text(encoding="utf-8"))["arrows"]
+    assert not json.loads(stripped.read_text(encoding="utf-8")).get("arrows")
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", [None, *_COMMANDS])
+def test_help_matches_a_fresh_parser(capsys, command):
+    argv = [command, "--help"] if command else ["--help"]
+    outputs = []
+    for parse in (main, build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        assert info.value.code == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].startswith("usage: susplink")

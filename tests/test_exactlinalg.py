@@ -186,3 +186,24 @@ def test_long_minus_three_chain_solve():
     for i in range(n):
         row = -3 * x[i] + (x[i - 1] if i else 0) + (x[i + 1] if i < n - 1 else 0)
         assert row == rhs[i]
+
+
+# -- forms with no nonzero diagonal: every pivot is a 2x2 block --------------
+
+def _zero_star(leaves):
+    return PlumbingTree(tuple(Vertex(i, 0) for i in range(leaves + 1)),
+                        tuple(Edge(0, i) for i in range(1, leaves + 1)))
+
+
+# An odd zero-weight path is singular and an even one has det (-1)^(n/2); a
+# zero-weight star with two or more leaves is singular.
+_ZERO_FORMS = ([pytest.param(_chain([0] * n), 0 if n % 2 else (-1) ** (n // 2), id=f"path{n}")
+                for n in range(1, 25)]
+               + [pytest.param(_zero_star(k), 0 if k > 1 else -1, id=f"star{k}")
+                  for k in range(1, 8)])
+
+
+@pytest.mark.parametrize("tree,det", _ZERO_FORMS)
+def test_zero_weight_forms_match_dense_reference(tree, det):
+    assert eliminate(tree).determinant == det
+    _check_against_dense_reference(tree, list(range(1, len(tree.vertices) + 1)))

@@ -150,11 +150,26 @@ def test_check_fibred(ex1_graph, ex2_graph):
     square = parse_resolution(
         "vertex 1 weight=-1\nvertex 2 weight=-2\nedge 1 2\n"
         "arrow 1 side=f\narrow 1 side=g\n")
-    with pytest.raises(FibrednessError, match="not fibred") as info:
+    with pytest.raises(FibrednessError) as info:
         subtract_and_normalize(square)
+    assert str(info.value) == "link is not fibred: node multiplicities m^f = m^g (elements: 1)"
     assert info.value.elements == (1,)
     # one side alone is fibred: m^f = (2, 1)
     assert [v.m for v in subtract_and_normalize(square, "f").vertices] == [2, 1]
+
+
+def test_one_sided_fibredness_names_the_side():
+    """On the (2, 3, 7) star with one f arrow at the node, m^g vanishes
+    everywhere: the g side is not fibred, and its message names m^g alone."""
+    star = parse_resolution(
+        "vertex 1 weight=-1\nvertex 2 weight=-2\nvertex 3 weight=-3\nvertex 4 weight=-7\n"
+        "edge 1 2\nedge 1 3\nedge 1 4\narrow 1 side=f\n")
+    with pytest.raises(FibrednessError) as info:
+        subtract_and_normalize(star, "g")
+    assert str(info.value) == "link is not fibred: node multiplicities m^g = 0 (elements: 1)"
+    assert info.value.elements == (1,)
+    for side in ("fg", "f"):
+        assert [v.m for v in subtract_and_normalize(star, side).vertices] == [42, 21, 14, 6]
 
 
 def test_unknown_side_names_the_sides(ex1_graph):
