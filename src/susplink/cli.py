@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .invariants import adjunction_system, chi_resolution, is_num_gorenstein, k_squared
 from .nielsen import build_nielsen
-from .pipeline import StageError, run_pipeline
+from .pipeline import StageError, _stage, run_pipeline
 from .power import power_nielsen
 from .report import render_graph_text, render_json_dict, render_text
 from .resolve import SIDE_COEFFS, parse_resolution, subtract_and_normalize
@@ -54,12 +54,11 @@ def _read(path: str) -> str:
 
 
 def _load(path: str, want, stage: str):
-    """Load a stage input: JSON documents by schema, text otherwise."""
+    """Load a stage input: JSON documents by schema, text otherwise; a
+    document or text that does not parse fails in ``stage``."""
     text = _read(path)
-    if text.lstrip().startswith("{"):
-        graph = from_json(text)
-    else:
-        graph = parse_resolution(text)
+    parse = from_json if text.lstrip().startswith("{") else parse_resolution
+    graph = _stage(stage)(parse, text)
     if not isinstance(graph, want):
         raise StageError(stage, InputError(
             f"expected {want.__name__} input, got {type(graph).__name__}"))
@@ -189,7 +188,8 @@ def _cmd_invariants(args) -> str:
 
 
 def _run_one_pipeline(path: str, args) -> str:
-    result = run_pipeline(_read(path), args.r, side=args.side,
+    graph = _load(path, ResolutionGraph, "parse")
+    result = run_pipeline(graph, args.r, side=args.side,
                           keep_arrows=args.keep_arrows, reduce=args.blow_down)
     if args.format == "json":
         return json.dumps(render_json_dict(result), indent=2) + "\n"

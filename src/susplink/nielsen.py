@@ -183,10 +183,6 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
         mi, mj = m[ec.node_u], m[ec.node_v]
         alpha, beta_u = _chain_fraction(weight, ec.vertices)
         n = chain_gcd([mi] + [m[v] for v in ec.vertices] + [mj])
-        if mi % n or mj % n:
-            raise ChainDataError(
-                "inconsistent chain data: chain gcd does not divide the node orders",
-                elements=(ec.node_u, ec.node_v))
         lam_u, lam_v = mi // n, mj // n
         twist = Fraction(-ec.sign * n * alpha, mi * mj)
         s = -ec.sign  # sign of the twist

@@ -37,15 +37,7 @@ def _lift_valency(m: int, r: int, lam: int, sigma: int) -> tuple[int, int, int]:
     n = gcd(m, r)
     n_i = gcd(m // lam, r)
     lam_new = lam * n_i // n
-    if lam * n_i % n:
-        raise InputError(
-            f"valency transform is fractional for (m, r, lam) = ({m}, {r}, {lam})")
-    scale = r // n
-    if gcd(scale, lam_new) != 1:
-        raise InputError(
-            f"r/n = {scale} is not invertible mod lam' = {lam_new}; "
-            "inconsistent Nielsen data")
-    sigma_new = (sigma * pow(scale, -1, lam_new)) % lam_new
+    sigma_new = (sigma * pow(r // n, -1, lam_new)) % lam_new
     return n_i, lam_new, sigma_new
 
 
@@ -73,17 +65,13 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
 
     edges = []
     for e in n.edges:
-        copies_u, lam_u, sigma_u = _lift_valency(order[e.u], r, e.lam_u, e.sigma_u)
-        copies_v, lam_v, sigma_v = _lift_valency(order[e.v], r, e.lam_v, e.sigma_v)
-        if copies_u != copies_v:
-            raise InputError(
-                "edge lifts to different numbers of copies at its two ends",
-                elements=(e.u, e.v))
-        branch_deficits[e.u] += gcd(order[e.u], r) - copies_u
-        branch_deficits[e.v] += gcd(order[e.v], r) - copies_v
+        copies, lam_u, sigma_u = _lift_valency(order[e.u], r, e.lam_u, e.sigma_u)
+        _, lam_v, sigma_v = _lift_valency(order[e.v], r, e.lam_v, e.sigma_v)
+        branch_deficits[e.u] += gcd(order[e.u], r) - copies
+        branch_deficits[e.v] += gcd(order[e.v], r) - copies
         edges.extend(
             [NielsenEdge(e.u, e.v, r * e.twist, lam_u, sigma_u, lam_v, sigma_v)]
-            * copies_u)
+            * copies)
 
     vertices = []
     for v in n.vertices:
@@ -109,9 +97,7 @@ def valency_formula_notes(n: NielsenGraph, r: int) -> tuple[str, ...]:
     order = {v.id: v.order for v in n.vertices}
     for vid, lam, sigma in n.incidences():
         m = order[vid]
-        nv = gcd(m, r)
-        n_i = gcd(m // lam, r)
-        used = lam * n_i // nv
+        n_i, used, _ = _lift_valency(m, r, lam, sigma)
         closed = m // (lam * n_i) if m % (lam * n_i) == 0 else None
         if closed != used:
             notes.append(

@@ -5,9 +5,9 @@ the mapping torus boundary with solid tori whose cores form the binding
 turns it into a closed graph manifold with an open book.  The conversion is
 incidence-by-incidence:
 
-* a stalk (lam, sigma) is the Seifert pair (alpha, beta) = (lam, sigma)
-  normalized to 1 <= beta < alpha (lam = 1 stalks are regular fibres and
-  disappear),
+* a stalk (lam, sigma) is the Seifert pair (alpha, beta) = (lam, sigma),
+  already normalized to 1 <= beta < alpha by the Nielsen graph (lam = 1
+  stalks are regular fibres and disappear),
 * an incidence with valency (lam, sigma) and twist t, at a vertex of order m
   whose far piece has order m', gives the Seifert pair
 
@@ -17,8 +17,8 @@ incidence-by-incidence:
   gluing triplet.  The solid torus around a binding component is a far
   piece of order m' = 1, so a boundary-stalk becomes the binding arrow with
   that pair, marked reversed when t > 0: the binding then runs against the
-  fibres of its piece.  The vertex label is the integral Euler obstruction
-  e = sum sigma_i / lam_i over all incidences.
+  fibres of its piece.  The vertex label is the Euler obstruction
+  e = sum sigma_i / lam_i over all incidences, integral as in the Nielsen graph.
 
 In the pair, sigma means the representative of its class that makes beta
 an integer in [0, alpha); shifting sigma by lam shifts beta by exactly
@@ -72,12 +72,8 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
     for s in n.stalks:
         if s.lam == 1:
             continue  # regular fibre, contributes (1, 0)
-        beta = s.sigma % s.lam
-        if beta == 0:
-            raise NormalizationError(
-                f"stalk ({s.lam}, {s.sigma}) cannot be normalized to 1 <= beta < alpha")
-        stalks.append(WaldStalk(s.vertex, s.lam, beta))
-        euler[s.vertex] += Fraction(beta, s.lam)
+        stalks.append(WaldStalk(s.vertex, s.lam, s.sigma))
+        euler[s.vertex] += Fraction(s.sigma, s.lam)
 
     arrows = []
     for b in n.boundary_stalks:
@@ -93,19 +89,11 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
                                                f"edge ({e.u}, {e.v}) at {e.u}")
         _, beta_v, sigma_v = _seifert_pair(mv, mu, e.twist, e.lam_v, e.sigma_v,
                                            f"edge ({e.u}, {e.v}) at {e.v}")
-        if (beta_u * beta_v) % alpha != 1 % alpha:
-            raise NormalizationError(
-                f"edge duality failure: {beta_u} * {beta_v} != 1 mod {alpha}")
         edges.append(WaldEdge(e.u, e.v, -1 if e.twist > 0 else 1, alpha, beta_u, beta_v))
         euler[e.u] += Fraction(sigma_u, e.lam_u)
         euler[e.v] += Fraction(sigma_v, e.lam_v)
 
-    vertices = []
-    for v in n.vertices:
-        if euler[v.id].denominator != 1:
-            raise NormalizationError(
-                f"Euler obstruction failure: e = {euler[v.id]} at vertex {v.id} "
-                "is not an integer")
-        vertices.append(WaldVertex(v.id, int(euler[v.id]), v.genus, v.q, v.order))
+    vertices = [WaldVertex(v.id, int(euler[v.id]), v.genus, v.q, v.order)
+                for v in n.vertices]
 
     return WaldhausenGraph(tuple(vertices), tuple(stalks), tuple(arrows), tuple(edges))

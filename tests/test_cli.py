@@ -5,12 +5,14 @@ import json
 import random
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from susplink.cli import build_parser, main
+from susplink.graphs import NielsenEdge, NielsenGraph, NielsenVertex
 from susplink.pipeline import run_pipeline
 from susplink.resolve import parse_resolution, subtract_and_normalize
 from susplink.serialize import to_dict, to_json
@@ -193,6 +195,19 @@ def test_non_utf8_stdin_is_an_input_error(monkeypatch, capsys):
     assert err.startswith("error [step1] stdin: not UTF-8 text")
 
 
+@pytest.mark.parametrize("side", ["fg", "f"])
+def test_pipeline_reads_the_resolution_document_of_its_report(tmp_path, capsys, side):
+    """The ``input`` of a JSON report, saved as a document, is read by
+    ``pipeline`` as ``step1`` reads it, and gives the same report."""
+    argv = ["-r", "3", "--side", side, "--format", "json"]
+    res = tmp_path / "res.json"
+    for name in ("ex1.txt", "ex2.txt", "ex3.txt", "cusp.txt"):
+        code, report, err = run_cli(capsys, "pipeline", str(DATA / name), *argv)
+        assert (code, err) == (0, "")
+        res.write_text(json.dumps(json.loads(report)["input"]), encoding="utf-8")
+        assert run_cli(capsys, "pipeline", str(res), *argv) == (0, report, "")
+
+
 def test_side_flag(capsys):
     code, out, _ = run_cli(capsys, "pipeline", str(DATA / "ex1.txt"),
                            "-r", "2", "--side", "f", "--format", "json")
@@ -352,6 +367,20 @@ def test_non_reduced_seifert_pair_names_the_pair_and_the_piece(tmp_path, capsys)
     assert (code, out) == (1, "")
     assert err == ("error [plumbing] arrow pair (4, 2) at vertex 1 is not reduced: "
                    "gcd 2 (elements: 1)\n")
+
+
+def test_gluing_without_a_dual_pair_names_both_pieces(tmp_path, capsys):
+    """Two pieces of order 2 glued twice with twist 1/2 and valency (2, 1) at
+    both ends: each gluing reads (2, 0) from both ends, and the Waldhausen
+    graph of step 4 rejects it, naming its two pieces."""
+    edge = NielsenEdge(1, 2, Fraction(1, 2), 2, 1, 2, 1)
+    n = NielsenGraph((NielsenVertex(1, 2, 0), NielsenVertex(2, 2, 0)), edges=(edge, edge))
+    path = tmp_path / "n.json"
+    path.write_text(to_json(n), encoding="utf-8")
+    code, out, err = run_cli(capsys, "waldhausen", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error [waldhausen] beta * beta' = 0 * 0 is not 1 mod 2 "
+                   "(elements: 1, 2)\n")
 
 
 # -- one parser per process ---------------------------------------------------

@@ -124,9 +124,10 @@ def test_dual_involution(alpha, seed):
 
 
 def test_reversal_duality():
-    # reading a chain backwards swaps beta for its inverse mod alpha
-    for num, den in ((31, 25), (145, 17), (29, 17), (31, 13)):
-        entries = neg_cf_expand(num, den)
-        rev_num, rev_den = neg_cf_eval(list(reversed(entries)))
-        beta = num - den
-        assert (rev_num, rev_den) == (num, num - cf_dual(num, beta))
+    # reading a chain backwards swaps beta for its inverse mod alpha, for
+    # every reduced pair 0 <= beta < alpha <= 200 (step 5 relies on it)
+    for alpha in range(1, 201):
+        for beta in range(alpha):
+            if gcd(alpha, beta) == 1:
+                entries = neg_cf_expand(alpha, alpha - beta)
+                assert neg_cf_eval(entries[::-1]) == (alpha, alpha - cf_dual(alpha, beta))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -6,7 +7,7 @@ from nielsen_iso import nielsen_isomorphic
 from susplink.errors import UnsupportedError
 from susplink.graphs import NielsenGraph, NielsenVertex, Stalk
 from susplink.nielsen import build_nielsen
-from susplink.power import power_nielsen, valency_formula_notes
+from susplink.power import _lift_valency, power_nielsen, valency_formula_notes
 from susplink.resolve import subtract_and_normalize
 
 
@@ -89,3 +90,17 @@ def test_power_rejects_q_gt_1():
 def test_valency_audit_notes(ex1_graph):
     notes = valency_formula_notes(nielsen_of(ex1_graph), 3)
     assert any("(10,9)" in note for note in notes)
+
+
+def test_lift_valency_is_whole_and_keeps_sigma_a_unit():
+    """For every m <= 60, lam | m, unit sigma mod lam and r <= 60, the lifted
+    valency (lam', sigma') has lam' * n = lam * n_i and sigma' a unit mod
+    lam', so power_nielsen needs no check of its own on either."""
+    for m in range(1, 61):
+        for lam in (d for d in range(1, m + 1) if m % d == 0):
+            for r in range(1, 61):
+                n, n_i = gcd(m, r), gcd(m // lam, r)
+                for sigma in (s for s in range(lam) if gcd(s, lam) == 1):
+                    copies, lam_new, sigma_new = _lift_valency(m, r, lam, sigma)
+                    assert copies == n_i and lam_new * n == lam * n_i
+                    assert 0 <= sigma_new < lam_new and gcd(sigma_new, lam_new) == 1

@@ -1,14 +1,17 @@
 import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from susplink.errors import InputError, NormalizationError, UnsupportedError
+from susplink.errors import InputError, NormalizationError, PlumbingError, UnsupportedError
 from susplink.graphs import (
     BoundaryStalk,
     NielsenEdge,
     NielsenGraph,
     NielsenVertex,
+    PlumbingTree,
     Stalk,
     WaldArrow,
     WaldhausenGraph,
@@ -18,6 +21,7 @@ from susplink.graphs import (
 from susplink.nielsen import build_nielsen
 from susplink.power import power_nielsen
 from susplink.resolve import subtract_and_normalize
+from susplink.synthesis import synth_plumbing
 from susplink.waldhausen import nielsen_to_waldhausen
 
 
@@ -115,13 +119,14 @@ def test_lam_1_stalks_are_regular_fibres():
 
 
 def test_edge_duality_is_checked_in_step_4():
-    # both ends read (2, 0): no beta' inverts beta mod 2, which step 4
-    # reports before the Waldhausen graph would reject the edge as input
+    # both ends read (2, 0): no beta' inverts beta mod 2, and the Waldhausen
+    # graph step 4 builds rejects the gluing, naming both of its ends
     n = NielsenGraph((NielsenVertex(1, 8, 0),),
                      edges=(NielsenEdge(1, 1, Fraction(1, 8), 2, 1, 2, 1),))
-    with pytest.raises(NormalizationError,
-                       match=r"^edge duality failure: 0 \* 0 != 1 mod 2$"):
+    with pytest.raises(InputError) as info:
         nielsen_to_waldhausen(n)
+    assert info.value.args[0] == "beta * beta' = 0 * 0 is not 1 mod 2"
+    assert info.value.elements == (1, 1)
 
 
 @pytest.mark.parametrize("stalks,arrows,message", [
@@ -143,3 +148,55 @@ def test_reversed_boundary_stalk_gives_a_reversed_arrow():
         return nielsen_to_waldhausen(n).arrows
     assert arrow(3, -1) == (WaldArrow(1, 1, 0),)
     assert arrow(1, 1) == (WaldArrow(1, 1, 0, True),)
+
+
+def _divisors(m):
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+@st.composite
+def nielsen_graphs(draw):
+    """Nielsen graphs their constructor accepts: up to four pieces of order
+    <= 12 with random stalks, boundary stalks and edges; one last stalk per
+    piece makes its sum of sigma/lam integral."""
+    order = dict(enumerate(draw(st.lists(st.integers(1, 12), min_size=1, max_size=4)), 1))
+    piece = st.sampled_from(sorted(order))
+    twist = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 12))
+
+    def valency(lam):
+        return lam, draw(st.sampled_from([s for s in range(lam) if gcd(s, lam) == 1]))
+
+    def any_valency(v):
+        return valency(draw(st.sampled_from(_divisors(order[v]))))
+
+    stalks = [Stalk(v, *any_valency(v)) for v in draw(st.lists(piece, max_size=4))]
+    boundary = [BoundaryStalk(v, *any_valency(v), draw(twist))
+                for v in draw(st.lists(piece, max_size=3))]
+    edges = []
+    for u, v in draw(st.lists(st.tuples(piece, piece), max_size=4)):
+        orbits = draw(st.sampled_from(_divisors(gcd(order[u], order[v]))))
+        edges.append(NielsenEdge(u, v, draw(twist), *valency(order[u] // orbits),
+                                 *valency(order[v] // orbits)))
+    total = dict.fromkeys(order, Fraction(0))
+    for s in (*stalks, *boundary):
+        total[s.vertex] += Fraction(s.sigma, s.lam)
+    for e in edges:
+        total[e.u] += Fraction(e.sigma_u, e.lam_u)
+        total[e.v] += Fraction(e.sigma_v, e.lam_v)
+    stalks += [Stalk(v, t.denominator, -t.numerator % t.denominator)
+               for v, t in total.items() if t.denominator > 1]
+    vertices = tuple(NielsenVertex(v, m, draw(st.integers(0, 2))) for v, m in order.items())
+    return NielsenGraph(vertices, tuple(stalks), tuple(boundary), tuple(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nielsen_graphs())
+def test_steps_3_to_5_end_in_a_graph_or_a_plumbing_error(n):
+    """Steps 3-5 trust their validated input: on any Nielsen graph the
+    constructor accepts they return a plumbing tree or raise PlumbingError."""
+    for r in (1, 2, 3, 4, 6, 12):
+        try:
+            tree = synth_plumbing(nielsen_to_waldhausen(power_nielsen(n, r)))
+        except PlumbingError:
+            continue
+        assert isinstance(tree, PlumbingTree)
