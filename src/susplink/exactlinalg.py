@@ -1,11 +1,16 @@
 """One sparse exact elimination of the intersection form of a plumbing graph.
 
 The form has the vertex weights on the diagonal and the signed edge counts
-off it.  Eliminating least degree first strips a tree leaf by leaf without
-fill-in (Parter 1961); cycles and parallel edges fill in as they need.  The
-pivots give the determinant (their product) and negative-definiteness (all
-1x1 and negative, by Sylvester's law of inertia), and a right-hand side is
-solved in the same pass.
+off it.  A leaf pass first strips, while there is one, a vertex with at most
+one off-diagonal entry and a nonzero reduced diagonal, changing only its
+neighbour: on a tree that is almost every vertex (Parter 1961).  What is
+left (cycles, parallel edges, zero diagonals) goes least degree first and
+fills in as it needs.  The pivots give the determinant (their product) and
+negative-definiteness (all 1x1 and negative), and a right-hand side is
+solved in the same pass.  Pivot order changes none of these: the
+determinant and the solution are unique, the form is singular in every
+order or in none, and by Sylvester's law of inertia the pivots are all 1x1
+and negative in one order exactly when the form is negative definite.
 
 Every rational inside the elimination is a reduced pair of ints
 ``(numerator, denominator)`` with a positive denominator, kept reduced by
@@ -35,9 +40,9 @@ def eliminate(graph, rhs=None) -> Elimination:
     edges with ``u``, ``v`` and ``sign``); with ``rhs`` also solve
     form @ x = rhs, raising MonodromyError if the form is singular.
 
-    The pivot is the least-degree vertex whose reduced diagonal is nonzero,
-    else a 2x2 block on a nonzero off-diagonal entry; with neither left the
-    form is singular.
+    After the leaf pass, the pivot is the least-degree vertex whose reduced
+    diagonal is nonzero, else a 2x2 block on a nonzero off-diagonal entry;
+    with neither left the form is singular.
     """
     index = {v.id: i for i, v in enumerate(graph.vertices)}
     n = len(index)
@@ -48,14 +53,37 @@ def eliminate(graph, rhs=None) -> Elimination:
         _accumulate(off[index[e.v]], index[e.u], (e.sign, 1))
     b = [(x.numerator, x.denominator) for x in rhs] if rhs is not None else [(0, 1)] * n
     alive = [True] * n
-    heap = [(len(row), i) for i, row in enumerate(off)]
+    det, definite, leaves, steps, remaining = (1, 1), True, [], [], n
+    # Leaf pass.  Off-diagonal entries are still integer edge counts, so a leaf
+    # v (pivot d, entry x at k) changes only diag[k] by -x*x/d, b[k] by -x/d*b[v].
+    stack = [i for i in range(n) if len(off[i]) < 2]
+    while stack:
+        v = stack.pop()
+        d, row = diag[v], off[v]
+        if not alive[v] or len(row) > 1 or not d[0]:
+            continue
+        alive[v] = False
+        remaining -= 1
+        det = _mul(det, d)
+        definite = definite and d[0] < 0
+        for k, (x, _) in row.items():
+            del off[k][v]
+            g = gcd(x, d[0]) if d[0] > 0 else -gcd(x, d[0])
+            pn, pd = x // g * d[1], d[0] // g  # x/d, reduced, with pd > 0
+            g = gcd(x, pd)
+            diag[k] = _add(diag[k], (-(x // g) * pn, pd // g))
+            if b[v][0]:
+                b[k] = _add(b[k], _mul((-pn, pd), b[v]))
+            if len(off[k]) < 2:
+                stack.append(k)
+        leaves.append((v, row))
+    heap = [(len(off[i]), i) for i in range(n) if alive[i]]
     heapq.heapify(heap)
     # A vertex the 2x2 search passes over is dead, or has no off-diagonal
     # entry and so is no block's neighbour; fill-in only joins two
     # neighbours of a block, so that vertex never qualifies again and the
     # search resumes where it stopped.
     cursor = 0
-    det, definite, steps, remaining = (1, 1), True, [], n
     while remaining:
         while heap:
             degree, v = heapq.heappop(heap)
@@ -112,7 +140,13 @@ def eliminate(graph, rhs=None) -> Elimination:
             residual[t] = r
         for (s, t), p in inverse.items():
             x[s] = _add(x[s], _mul(p, residual[t]))
-    return Elimination(det[0], definite, [Fraction(*q) for q in x])
+    for v, row in reversed(leaves):
+        r = b[v]
+        for k, (y, _) in row.items():
+            r = _add(r, _mul((-y, 1), x[k]))
+        x[v] = _mul(r, _inverse(diag[v]))
+    return Elimination(det[0], definite,
+                       [Fraction(q[0]) if q[1] == 1 else Fraction(*q) for q in x])
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:

@@ -41,6 +41,10 @@ class StalkChain:
     node: int
     vertices: tuple[int, ...]  # ordered from the node outwards, leaf last
 
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return (self.node, *self.vertices)
+
 
 @dataclass(frozen=True)
 class EdgeChain:
@@ -48,6 +52,10 @@ class EdgeChain:
     node_v: int
     vertices: tuple[int, ...]  # interior vertices ordered from node_u, may be empty
     sign: int                  # product of edge signs along the chain
+
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return (self.node_u, *self.vertices, self.node_v)
 
 
 @dataclass(frozen=True)
@@ -119,17 +127,18 @@ def _walk(adj, node_set, start, first, first_sign):
     return chain, cur, sign
 
 
-def chain_gcd(values: list[int]) -> int:
-    """Constant gcd of consecutive entries along a chain (gcd(0, r) := r)."""
-    gcds = {gcd(values[i], values[i + 1]) for i in range(len(values) - 1)}
+def chain_gcd(m: dict[int, int], chain: EdgeChain) -> int:
+    """Constant gcd of consecutive multiplicities along the chain and its nodes."""
+    gcds = {gcd(m[u], m[v]) for u, v in zip(chain.ids, chain.ids[1:])}
     if len(gcds) != 1:
         raise ChainDataError(
-            f"inconsistent chain data: consecutive multiplicity gcds {sorted(gcds)} vary")
+            f"inconsistent chain data: consecutive multiplicity gcds {sorted(gcds)} vary",
+            elements=chain.ids)
     return gcds.pop()
 
 
-def _chain_fraction(weight: dict[int, int], vertices) -> tuple[int, int]:
-    """The Seifert pair (alpha, beta) of the chain read in the given order,
+def _chain_fraction(weight: dict[int, int], chain: StalkChain | EdgeChain) -> tuple[int, int]:
+    """The Seifert pair (alpha, beta) of the chain read from its (first) node,
     its value being alpha/(alpha - beta) up to a whole number; (1, 0), the
     trivial pair, for the empty chain of two adjacent nodes.
 
@@ -137,14 +146,17 @@ def _chain_fraction(weight: dict[int, int], vertices) -> tuple[int, int]:
     a -1 vertex next to the node moves a whole number into the node weight
     when it is blown down.  Step 5 recomputes node weights from the balance,
     so only beta mod alpha matters and any value num/den with den >= 1 is
-    accepted (degenerate chains raise).
+    accepted (degenerate chains raise, naming the chain and its nodes).
     """
-    weights = [-weight[vid] for vid in vertices]
-    num, den = neg_cf_eval(weights) if weights else (1, 1)
+    weights = [-weight[vid] for vid in chain.vertices]
+    try:
+        num, den = neg_cf_eval(weights) if weights else (1, 1)
+    except ChainDataError as e:
+        raise ChainDataError(e.args[0], elements=chain.ids) from None
     if num < 1 or den < 1:
         raise ChainDataError(
-            f"chain fraction {num}/{den} along {list(vertices)} is not of "
-            f"the form alpha/(alpha-beta)", elements=tuple(vertices))
+            f"chain fraction {num}/{den} along {list(chain.vertices)} is not of "
+            f"the form alpha/(alpha-beta)", elements=chain.vertices)
     return num, (num - den) % num
 
 
@@ -158,7 +170,7 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
 
     stalks = []
     for sc in dec.stalk_chains:
-        alpha, beta = _chain_fraction(weight, sc.vertices)
+        alpha, beta = _chain_fraction(weight, sc)
         m_adj = m[sc.vertices[0]]
         expected = m[sc.node] // gcd(m[sc.node], m_adj)
         if alpha != expected:
@@ -181,8 +193,8 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
     edges = []
     for ec in dec.edge_chains:
         mi, mj = m[ec.node_u], m[ec.node_v]
-        alpha, beta_u = _chain_fraction(weight, ec.vertices)
-        n = chain_gcd([mi] + [m[v] for v in ec.vertices] + [mj])
+        alpha, beta_u = _chain_fraction(weight, ec)
+        n = chain_gcd(m, ec)
         lam_u, lam_v = mi // n, mj // n
         twist = Fraction(-ec.sign * n * alpha, mi * mj)
         s = -ec.sign  # sign of the twist

@@ -45,18 +45,20 @@ __all__ = ["nielsen_to_waldhausen"]
 
 
 def _seifert_pair(m: int, m_far: int, t: Fraction, lam: int, sigma: int,
-                  where: str) -> tuple[int, int, int]:
+                  at: tuple[int, ...]) -> tuple[int, int, int]:
     """(alpha, beta, sigma') of the incidence with valency (lam, sigma) and
     twist t at a piece of order m whose far piece has order m_far, shifted
-    by (alpha, lam) steps until 0 <= beta < alpha."""
+    by (alpha, lam) steps until 0 <= beta < alpha.  ``at`` is the piece and,
+    for a gluing edge, the far piece: the ids an error names."""
+    where = f"arrow at vertex {at[0]}" if len(at) == 1 else f"edge at {at[0]} to {at[1]}"
     alpha = abs(m_far * t * lam)
     beta = (-1 if t > 0 else 1) * Fraction(m_far - m * m_far * t * sigma, m)
     if alpha.denominator != 1:
-        raise NormalizationError(f"{where}: alpha = {alpha} is not integral")
+        raise NormalizationError(f"{where}: alpha = {alpha} is not integral", elements=at)
     if beta.denominator != 1:
         raise NormalizationError(
             f"mero normalization failure at {where}: "
-            f"beta = {beta} is not integral for any representative")
+            f"beta = {beta} is not integral for any representative", elements=at)
     alpha, beta = int(alpha), int(beta)
     k = -(beta // alpha)
     return alpha, beta + k * alpha, sigma + k * lam
@@ -78,7 +80,7 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
     arrows = []
     for b in n.boundary_stalks:
         alpha, beta, sigma = _seifert_pair(order[b.vertex], 1, b.twist, b.lam, b.sigma,
-                                           f"arrow at vertex {b.vertex}")
+                                           (b.vertex,))
         arrows.append(WaldArrow(b.vertex, alpha, beta, b.twist > 0))
         euler[b.vertex] += Fraction(sigma, b.lam)
 
@@ -86,9 +88,8 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
     for e in n.edges:
         mu, mv = order[e.u], order[e.v]
         alpha, beta_u, sigma_u = _seifert_pair(mu, mv, e.twist, e.lam_u, e.sigma_u,
-                                               f"edge ({e.u}, {e.v}) at {e.u}")
-        _, beta_v, sigma_v = _seifert_pair(mv, mu, e.twist, e.lam_v, e.sigma_v,
-                                           f"edge ({e.u}, {e.v}) at {e.v}")
+                                               (e.u, e.v))
+        _, beta_v, sigma_v = _seifert_pair(mv, mu, e.twist, e.lam_v, e.sigma_v, (e.v, e.u))
         edges.append(WaldEdge(e.u, e.v, -1 if e.twist > 0 else 1, alpha, beta_u, beta_v))
         euler[e.u] += Fraction(sigma_u, e.lam_u)
         euler[e.v] += Fraction(sigma_v, e.lam_v)

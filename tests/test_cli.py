@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from susplink.cli import build_parser, main
-from susplink.graphs import NielsenEdge, NielsenGraph, NielsenVertex
+from susplink.graphs import BoundaryStalk, NielsenEdge, NielsenGraph, NielsenVertex, Stalk
 from susplink.pipeline import run_pipeline
 from susplink.resolve import parse_resolution, subtract_and_normalize
 from susplink.serialize import to_dict, to_json
@@ -381,6 +381,51 @@ def test_gluing_without_a_dual_pair_names_both_pieces(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == ("error [waldhausen] beta * beta' = 0 * 0 is not 1 mod 2 "
                    "(elements: 1, 2)\n")
+
+
+def _mult_document(vertices, edges):
+    """A multiplicity document of (id, weight, genus, m) vertices joined
+    by edges of sign 1."""
+    return {"schema": "susplink/multiplicity:1",
+            "vertices": [{"id": i, "weight": w, "genus": g, "m": m} for i, w, g, m in vertices],
+            "edges": [{"u": u, "v": v} for u, v in edges]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    # the nodes 1 and 3 (genus 1) are joined through 2, with gcd(6, 3) = 3
+    # and gcd(3, 4) = 1
+    pytest.param(_mult_document([(1, -1, 1, 6), (2, -2, 0, 3), (3, -1, 1, 4)],
+                                [(1, 2), (2, 3)]),
+                 "inconsistent chain data: consecutive multiplicity gcds [1, 3] vary "
+                 "(elements: 1, 2, 3)", id="chain_gcd"),
+    # the stalk [2, 1, 1] off the node 1 has a zero intermediate value
+    pytest.param(_mult_document([(1, -1, 1, 2), (2, -2, 0, 1), (3, -1, 0, 1), (4, -1, 0, 1)],
+                                [(1, 2), (2, 3), (3, 4)]),
+                 "degenerate chain [2, 1, 1]: zero intermediate value (elements: 1, 2, 3, 4)",
+                 id="degenerate_stalk"),
+])
+def test_chain_errors_name_the_chain_and_its_nodes(tmp_path, capsys, doc, message):
+    path = tmp_path / "mp.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "nielsen", str(path))
+    assert (code, out, err) == (1, "", f"error [nielsen] {message}\n")
+
+
+@pytest.mark.parametrize("n,message", [
+    # a boundary stalk of valency 6 and twist -1/4 at a piece of order 6
+    pytest.param(NielsenGraph((NielsenVertex(1, 6, 1),), (Stalk(1, 6, 1),),
+                              (BoundaryStalk(1, 6, 5, Fraction(-1, 4)),)),
+                 "arrow at vertex 1: alpha = 3/2 is not integral (elements: 1)", id="arrow"),
+    # two pieces of order 2 glued twice with twist 1/8 and valency (2, 1)
+    pytest.param(NielsenGraph((NielsenVertex(1, 2, 0), NielsenVertex(2, 2, 0)),
+                              edges=(NielsenEdge(1, 2, Fraction(1, 8), 2, 1, 2, 1),) * 2),
+                 "edge at 1 to 2: alpha = 1/2 is not integral (elements: 1, 2)", id="edge"),
+])
+def test_seifert_pair_errors_name_the_piece(tmp_path, capsys, n, message):
+    path = tmp_path / "n.json"
+    path.write_text(to_json(n), encoding="utf-8")
+    code, out, err = run_cli(capsys, "waldhausen", str(path))
+    assert (code, out, err) == (1, "", f"error [waldhausen] {message}\n")
 
 
 # -- one parser per process ---------------------------------------------------

@@ -88,12 +88,14 @@ def test_definiteness_matches_oracle(m):
 @st.composite
 def plumbing_forms(draw, max_vertices=7, weight=st.sampled_from((-3, -2, -1, 0, 0, 1)),
                    max_extra_edges=4):
-    """Random trees, plus extra edges (cycles and parallel edges) and edges
-    doubled with the opposite sign, so that they cancel; zero weights are
-    frequent enough to reach the 2x2 pivots."""
+    """Random forests (trees with some vertices left off, so that isolated
+    vertices and several components occur), plus extra edges (cycles and
+    parallel edges) and edges doubled with the opposite sign, so that they
+    cancel; zero weights are frequent enough to reach the 2x2 pivots."""
     n = draw(st.integers(1, max_vertices))
     weights = draw(st.lists(weight, min_size=n, max_size=n))
-    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    off_tree = draw(st.sets(st.integers(1, n)))
+    pairs = [(draw(st.integers(0, k - 1)), k) for k in range(1, n) if k not in off_tree]
     if n > 1:
         pairs += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
                                .filter(lambda p: p[0] != p[1]), max_size=max_extra_edges))
@@ -147,6 +149,18 @@ def test_elimination_2x2_pivot():
     form = eliminate(tree, [2, 3])
     assert (form.determinant, form.negative_definite) == (-1, False)
     assert form.solution == [3, 2]
+
+
+def test_leaf_left_with_zero_diagonal_goes_to_a_2x2_block():
+    """Stripping the leaf 1 drives the diagonal of 2 to 0 while 2 is left
+    with the one neighbour 3, whose diagonal is 0 too: neither is a pivot of
+    the leaf pass, and the pair is eliminated as a 2x2 block."""
+    tree = PlumbingTree((Vertex(1, -1), Vertex(2, -1), Vertex(3, 0)),
+                        (Edge(1, 2), Edge(2, 3)))
+    form = eliminate(tree, [1, 2, 3])
+    assert (form.determinant, form.negative_definite) == (1, False)
+    assert form.solution == [2, 3, 3]
+    _check_against_dense_reference(tree, [1, 2, 3])
 
 
 def test_elimination_singular_form():
