@@ -64,6 +64,7 @@ from .nielsen import Decomposition, EdgeChain, StalkChain, build_nielsen, decomp
 from .pipeline import PipelineResult, StageError, run_pipeline
 from .power import power_nielsen, valency_formula_notes
 from .resolve import (
+    multiplicity_trees,
     parse_resolution,
     product_multiplicity_tree,
     solve_monodromical,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import ChainDataError, InputError
+from .errors import ChainDataError, InputError, excerpt
 
 
 def neg_cf_expand(num: int, den: int) -> list[int]:
@@ -49,10 +49,10 @@ def neg_cf_eval(entries) -> tuple[int, int]:
     num, den = entries[-1], 1
     for b in reversed(entries[:-1]):
         if num == 0:
-            raise ChainDataError(f"degenerate chain {entries}: zero intermediate value")
+            raise ChainDataError(f"degenerate chain {excerpt(entries)}: zero intermediate value")
         num, den = b * num - den, num
     if den == 0:
-        raise ChainDataError(f"degenerate chain {entries}: infinite value")
+        raise ChainDataError(f"degenerate chain {excerpt(entries)}: infinite value")
     if den < 0:
         num, den = -num, -den
     return num, den

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 from .contfrac import cf_dual, neg_cf_eval
-from .errors import ChainDataError, UnsupportedError
+from .errors import ChainDataError, UnsupportedError, excerpt
 from .graphs import (
     BoundaryStalk,
     MultPlumbing,
@@ -155,8 +155,8 @@ def _chain_fraction(weight: dict[int, int], chain: StalkChain | EdgeChain) -> tu
         raise ChainDataError(e.args[0], elements=chain.ids) from None
     if num < 1 or den < 1:
         raise ChainDataError(
-            f"chain fraction {num}/{den} along {list(chain.vertices)} is not of "
-            f"the form alpha/(alpha-beta)", elements=chain.vertices)
+            f"chain fraction {excerpt(num)}/{excerpt(den)} is not of the form "
+            f"alpha/(alpha-beta)", elements=chain.vertices)
     return num, (num - den) % num
 
 

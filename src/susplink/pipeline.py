@@ -22,11 +22,7 @@ from .graphs import (
 from .invariants import ObstructionReport, obstruction_report
 from .nielsen import build_nielsen
 from .power import power_nielsen, valency_formula_notes
-from .resolve import (
-    parse_resolution,
-    product_multiplicity_tree,
-    subtract_and_normalize,
-)
+from .resolve import multiplicity_trees, parse_resolution
 from .synthesis import reduce_tree, strip_decorations, synth_plumbing
 from .waldhausen import nielsen_to_waldhausen
 
@@ -84,7 +80,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
         graph = _stage("parse")(parse_resolution, source)
     else:
         graph = source
-    mp = _stage("step1")(subtract_and_normalize, graph, side)
+    mp, product_mp = _stage("step1")(multiplicity_trees, graph, side)
     nielsen = _stage("nielsen")(build_nielsen, mp)
     powered = _stage("power")(power_nielsen, nielsen, r)
     notes = _empty_chain_notes(mp) + valency_formula_notes(nielsen, r)
@@ -94,7 +90,6 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
     reduced = None
     if reduce:
         reduced = _stage("blowdown")(reduce_tree, tree)
-    product_mp = product_multiplicity_tree(graph) if side == "fg" and graph.arrows else None
     obstructions = _stage("invariants")(
         obstruction_report, mp, tree_full, r, product_mp)
     return PipelineResult(

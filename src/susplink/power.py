@@ -6,8 +6,12 @@ piece, and every incidence with valency (lam, sigma) lifts to
     n_i = gcd(m/lam, r)   copies with
     lam' = lam * n_i / n  and  sigma' * (r/n) = sigma  (mod lam') ,
 
-with all twists multiplied by r.  The orbit-space genus follows the
-Riemann-Hurwitz count n*(g-1) + 1 + (1/2) * sum(n - n_i).
+with all twists multiplied by r.  The piece of the fibre over the vertex
+has d components, the gcd of m/lam over its incidences, which the
+monodromy permutes cyclically; under the power they fall into
+c = gcd(d, r) orbits, and c divides every n_i.  The vertex therefore
+becomes c vertices, each with n_i/c lifts of every incidence and the
+Riemann-Hurwitz genus (n/c)*(g-1) + 1 + sum(n - n_i) / (2c).
 
 The valency transform lam' = lam * n_i / n is the orbit count of the lifted
 exceptional point: the published closed form m/(lam * n_i) disagrees with
@@ -17,7 +21,7 @@ the worked examples whenever n > 1, so the orbit-count form is used and
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError
 from .graphs import (
@@ -42,12 +46,33 @@ def _lift_valency(m: int, r: int, lam: int, sigma: int) -> tuple[int, int, int]:
 
 
 def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
-    """Nielsen graph of the r-th power (r = 1 returns an identical graph)."""
+    """Nielsen graph of the r-th power (r = 1 returns an identical graph).
+
+    A Nielsen vertex is one orbit of pieces of period m, and q = 1 also on
+    a piece with d > 1 components, since d is read off the valencies.  Of
+    the c copies of a vertex the first keeps its id and the others get
+    fresh ids after the largest one, listed right after it; the j-th lift
+    of each incidence goes to copy j mod c.  A vertex without incidences
+    stays whole.
+    """
     if r < 1:
         raise InputError(f"power must be >= 1, got {r}")
     require_fixed_pieces(n.vertices)
 
     order = {v.id: v.order for v in n.vertices}
+    components = dict.fromkeys(order, 0)
+    for vid, lam, _ in n.incidences():
+        components[vid] = gcd(components[vid], order[vid] // lam)
+    next_id = max(order, default=0) + 1
+    copies_of: dict[int, list[int]] = {}
+    for vid, d in components.items():
+        c = gcd(d, r) if d else 1
+        copies_of[vid] = [vid, *range(next_id, next_id + c - 1)]
+        next_id += c - 1
+
+    # The j-th lift of an incidence goes to copy j mod c of its vertex.  c
+    # divides the lift count, so the lifts are a block of one lift per
+    # copy, repeated; an edge's block has lcm(c_u, c_v) lifts.
     branch_deficits: dict[int, int] = {v.id: 0 for v in n.vertices}
 
     stalks = []
@@ -55,13 +80,16 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
         copies, lam, sigma = _lift_valency(order[s.vertex], r, s.lam, s.sigma)
         branch_deficits[s.vertex] += gcd(order[s.vertex], r) - copies
         if lam > 1:
-            stalks.extend([Stalk(s.vertex, lam, sigma)] * copies)
+            ids = copies_of[s.vertex]
+            stalks.extend([Stalk(vid, lam, sigma) for vid in ids] * (copies // len(ids)))
 
     boundary = []
     for b in n.boundary_stalks:
         copies, lam, sigma = _lift_valency(order[b.vertex], r, b.lam, b.sigma)
         branch_deficits[b.vertex] += gcd(order[b.vertex], r) - copies
-        boundary.extend([BoundaryStalk(b.vertex, lam, sigma, r * b.twist)] * copies)
+        ids = copies_of[b.vertex]
+        boundary.extend([BoundaryStalk(vid, lam, sigma, r * b.twist) for vid in ids]
+                        * (copies // len(ids)))
 
     edges = []
     for e in n.edges:
@@ -69,23 +97,26 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
         _, lam_v, sigma_v = _lift_valency(order[e.v], r, e.lam_v, e.sigma_v)
         branch_deficits[e.u] += gcd(order[e.u], r) - copies
         branch_deficits[e.v] += gcd(order[e.v], r) - copies
-        edges.extend(
-            [NielsenEdge(e.u, e.v, r * e.twist, lam_u, sigma_u, lam_v, sigma_v)]
-            * copies)
+        us, vs = copies_of[e.u], copies_of[e.v]
+        period = lcm(len(us), len(vs))
+        edges.extend([NielsenEdge(us[j % len(us)], vs[j % len(vs)], r * e.twist,
+                                  lam_u, sigma_u, lam_v, sigma_v)
+                      for j in range(period)] * (copies // period))
 
     vertices = []
     for v in n.vertices:
-        nv = gcd(v.order, r)
-        deficit = branch_deficits[v.id]
+        nv, c = gcd(v.order, r), len(copies_of[v.id])
+        deficit = branch_deficits[v.id] // c
         if deficit % 2:
             raise InputError(
                 f"branch count sum {deficit} at vertex {v.id} is odd; "
                 "fractional orbit genus", elements=(v.id,))
-        genus = nv * (v.genus - 1) + 1 + deficit // 2
+        genus = nv // c * (v.genus - 1) + 1 + deficit // 2
         if genus < 0:
             raise InputError(f"negative orbit genus at vertex {v.id}",
                              elements=(v.id,))
-        vertices.append(NielsenVertex(v.id, v.order // nv, genus, 1))
+        vertices.extend(NielsenVertex(vid, v.order // nv, genus, 1)
+                        for vid in copies_of[v.id])
 
     return NielsenGraph(tuple(vertices), tuple(stalks), tuple(boundary), tuple(edges))
 

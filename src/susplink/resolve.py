@@ -36,6 +36,8 @@ from .graphs import (
 # c = 0 is not solved and its arrows are dropped; the others keep their
 # arrows at mult c.
 SIDE_COEFFS = {"fg": {"f": 1, "g": -1}, "f": {"f": 1, "g": 0}, "g": {"f": 0, "g": 1}}
+# m = m^f + m^g: the holomorphic product germ, the mixed germ's comparison.
+PRODUCT_COEFFS = {"f": 1, "g": 1}
 
 
 def parse_resolution(text: str) -> ResolutionGraph:
@@ -149,6 +151,17 @@ def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
     return [int(x) for x in solution]
 
 
+def multiplicity_trees(graph: ResolutionGraph, side: str
+                       ) -> tuple[MultPlumbing, MultPlumbing | None]:
+    """``subtract_and_normalize(graph, side)`` and, for a mixed run on a
+    graph with arrows, ``product_multiplicity_tree(graph)`` (else None),
+    from one solve of each side."""
+    mp, solutions = _fibred_tree(graph, side)
+    if side != "fg" or not graph.arrows:
+        return mp, None
+    return mp, _combined_tree(graph, PRODUCT_COEFFS, solutions)
+
+
 def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlumbing:
     """Form |m| for m = sum of c_s m^s over the sides (``SIDE_COEFFS``),
     with flip flags and -1 boundary edge signs.
@@ -161,9 +174,17 @@ def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlum
     A single side ("f" or "g") keeps only that side's branches, positively
     oriented: the classical holomorphic suspension used as an oracle.
     """
+    return _fibred_tree(graph, side)[0]
+
+
+def _fibred_tree(graph: ResolutionGraph, side: str
+                 ) -> tuple[MultPlumbing, dict[str, list[int]]]:
+    """The tree of ``subtract_and_normalize`` and the solution of each side
+    it solved."""
     if side not in SIDE_COEFFS:
         raise InputError(f"side must be one of {tuple(SIDE_COEFFS)}, got {side!r}")
-    mp = _combined_tree(graph, SIDE_COEFFS[side])
+    solutions = _solve_sides(graph, SIDE_COEFFS[side])
+    mp = _combined_tree(graph, SIDE_COEFFS[side], solutions)
     nodes = set(mp.node_ids())
     violators = tuple(v.id for v in mp.vertices if v.id in nodes and v.m == 0)
     if violators:
@@ -171,7 +192,7 @@ def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlum
         raise FibrednessError(
             f"link is not fibred: node multiplicities {vanishing}",
             elements=violators)
-    return mp
+    return mp, solutions
 
 
 def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
@@ -180,15 +201,21 @@ def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
     Used to compare the fibre of the mixed germ with the fibre of the
     product, as in the genus-1 versus genus-5 contrast.
     """
-    return _combined_tree(graph, {"f": 1, "g": 1})
+    return _combined_tree(graph, PRODUCT_COEFFS, _solve_sides(graph, PRODUCT_COEFFS))
 
 
-def _combined_tree(graph: ResolutionGraph, coeffs: dict[str, int]) -> MultPlumbing:
-    """Solve each side with a nonzero coefficient once and normalize the sum."""
+def _solve_sides(graph: ResolutionGraph, coeffs: dict[str, int]) -> dict[str, list[int]]:
+    """m^s for each side s with a nonzero coefficient, solved once."""
+    return {side: solve_monodromical(graph, side) for side, c in coeffs.items() if c}
+
+
+def _combined_tree(graph: ResolutionGraph, coeffs: dict[str, int],
+                   solutions: dict[str, list[int]]) -> MultPlumbing:
+    """Normalize the sum of c_s m^s, with each m^s read from ``solutions``."""
     signed = dict.fromkeys(graph.ids, 0)
     for side, c in coeffs.items():
         if c:
-            for i, m in zip(graph.ids, solve_monodromical(graph, side)):
+            for i, m in zip(graph.ids, solutions[side]):
                 signed[i] += c * m
     return normalize_signed(graph, signed, coeffs)
 

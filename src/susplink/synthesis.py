@@ -17,7 +17,7 @@ whose integrality doubles as a self-check of the whole pipeline.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from contextlib import suppress
 from dataclasses import replace
 from fractions import Fraction
 
@@ -72,22 +72,22 @@ def _chain_values(weights, left_mult, first):
     return values
 
 
-def _two_colouring(ids, signed_edges) -> dict[int, int]:
+def _two_colouring(ids, signed_edges) -> tuple[dict[int, int], int]:
     """+-1 per vertex with colour(v) = colour(u) * sign across every
     (u, v, sign) in ``signed_edges``, breadth first from the least id of
-    each component; an odd cycle of -1 signs has none."""
+    each component, and the component count; an odd -1 cycle has none."""
     adj: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
     for u, v, sign in signed_edges:
         adj[u].append((v, sign))
         adj[v].append((u, sign))
     colors: dict[int, int] = {}
+    roots = 0
     for root in sorted(adj):
         if root in colors:
             continue
-        colors[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
+        roots += 1
+        colors[root], queue = 1, [root]
+        for u in queue:  # read while it grows: first in, first out
             for v, sign in adj[u]:
                 want = colors[u] * sign
                 if v not in colors:
@@ -97,7 +97,7 @@ def _two_colouring(ids, signed_edges) -> dict[int, int]:
                     raise BalanceError(
                         "eps-parity 2-coloring impossible (odd gluing cycle)",
                         elements=(u, v))
-    return colors
+    return colors, roots
 
 
 def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
@@ -112,7 +112,7 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
     """
     require_fixed_pieces(w.vertices)
     # multiplicity signs of the Seifert pieces, across the eps = -1 gluings
-    colors = _two_colouring(w.ids, [(e.u, e.v, e.eps) for e in w.edges])
+    colors, _ = _two_colouring(w.ids, [(e.u, e.v, e.eps) for e in w.edges])
     mult = {v.id: colors[v.id] * v.order for v in w.vertices}
     # sum of the neighbour and arrow multiplicities at each node
     terms = {v.id: 0 for v in w.vertices}
@@ -250,29 +250,29 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
 
 def reduce_tree(tree: PlumbingTree) -> PlumbingTree:
     """Blow ``tree`` down, normalizing its edge signs first when it is a tree."""
-    if tree.is_tree():
+    with suppress(NotATreeError):
         tree = normalize_edge_signs(tree)
     return blow_down(tree)
 
 
 def normalize_edge_signs(tree: PlumbingTree) -> PlumbingTree:
-    """Turn every edge sign positive by flipping fibre orientations on one
-    side of each -1 edge; weights are unchanged, multiplicity signs move
-    into per-vertex flip flags.  Only defined on trees."""
-    if not tree.is_tree():
+    """Turn every edge sign positive: one breadth-first pass from the least
+    id colours each vertex c = the product of the signs on its path, and
+    counts the components (a tree has one, and |V| - 1 edges).  A vertex
+    keeps its weight, takes |c * mult| and is flipped where c * mult < 0
+    (c < 0 without a mult), an arrow takes c * mult; what stays is reused."""
+    colors, roots = {}, 0
+    with suppress(BalanceError):  # an odd -1 cycle: not a tree either
+        colors, roots = _two_colouring(tree.ids, [(e.u, e.v, e.sign) for e in tree.edges])
+    if roots != 1 or len(tree.edges) != len(tree.vertices) - 1:
         raise NotATreeError("not a tree: sign normalization skipped")
-    colors = _two_colouring(tree.ids, [(e.u, e.v, e.sign) for e in tree.edges])
     vertices = []
     for v in tree.vertices:
-        if v.mult is None:
-            vertices.append(Vertex(v.id, v.weight, v.genus, None,
-                                   colors[v.id] < 0, v.origin))
-        else:
-            signed = colors[v.id] * v.mult
-            vertices.append(Vertex(v.id, v.weight, v.genus, abs(signed),
-                                   signed < 0, v.origin))
-    arrows = tuple(
-        Arrow(a.vertex, colors[a.vertex] * a.mult, a.label) for a in tree.arrows
-    )
-    edges = tuple(Edge(e.u, e.v, 1) for e in tree.edges)
-    return PlumbingTree(tuple(vertices), edges, arrows)
+        signed = colors[v.id] * (1 if v.mult is None else v.mult)
+        mult = None if v.mult is None else abs(signed)
+        vertices.append(v if (mult, signed < 0) == (v.mult, v.flipped) else
+                        Vertex(v.id, v.weight, v.genus, mult, signed < 0, v.origin))
+    return PlumbingTree(
+        tuple(vertices), tuple(e if e.sign == 1 else Edge(e.u, e.v) for e in tree.edges),
+        tuple(a if colors[a.vertex] == 1 else Arrow(a.vertex, -a.mult, a.label)
+              for a in tree.arrows))

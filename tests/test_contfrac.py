@@ -131,3 +131,12 @@ def test_reversal_duality():
             if gcd(alpha, beta) == 1:
                 entries = neg_cf_expand(alpha, alpha - beta)
                 assert neg_cf_eval(entries[::-1]) == (alpha, alpha - cf_dual(alpha, beta))
+
+
+def test_degenerate_chain_message_stays_bounded():
+    """The message quotes the entries through the 40-character excerpt,
+    however long the chain."""
+    with pytest.raises(ChainDataError, match="zero intermediate value") as exc:
+        neg_cf_eval([2] * 200 + [1, 1])
+    assert len(exc.value.args[0]) < 100
+    assert "[2, 2, 2, 2, 2, 2, ...]" in exc.value.args[0]

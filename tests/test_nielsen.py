@@ -7,7 +7,7 @@ from nielsen_iso import nielsen_isomorphic
 from susplink.errors import ChainDataError, InputError, UnsupportedError
 from susplink.graphs import (Arrow, Edge, MultPlumbing, MultVertex, NielsenGraph,
                              NielsenVertex, Stalk)
-from susplink.nielsen import build_nielsen, decompose
+from susplink.nielsen import StalkChain, _chain_fraction, build_nielsen, decompose
 from susplink.resolve import subtract_and_normalize
 
 
@@ -171,3 +171,15 @@ def test_nielsen_isomorphic_detects_difference(ex1_graph, ex3_graph):
     a = build_nielsen(mp_of(ex1_graph))
     b = build_nielsen(mp_of(ex3_graph))
     assert not nielsen_isomorphic(a, b)
+
+
+@pytest.mark.parametrize("weight", [2, 3])
+def test_chain_fraction_message_stays_bounded(weight):
+    """A 200-vertex chain of positive weights has a negative fraction (with
+    a numerator of over 80 digits at weight 3); the message quotes it
+    through the excerpt and leaves the chain's vertices to ``elements``."""
+    chain = StalkChain(0, tuple(range(1, 201)))
+    with pytest.raises(ChainDataError, match="is not of the form") as exc:
+        _chain_fraction(dict.fromkeys(chain.vertices, weight), chain)
+    assert len(exc.value.args[0]) < 150
+    assert exc.value.elements == chain.vertices

@@ -1,7 +1,8 @@
 import pytest
 
+from susplink import resolve
 from susplink.graphs import ResArrow, ResolutionGraph
-from susplink.invariants import determinant
+from susplink.invariants import determinant, fibre_euler
 from susplink.pipeline import StageError, run_pipeline
 from susplink.report import describe_waldhausen, render_json_dict, render_text
 from susplink.serialize import from_json, to_dict, to_dot, to_json
@@ -157,3 +158,25 @@ def test_leaf_chain_below_one(r, det):
     r = 1, 2, 3, 5."""
     result = run_pipeline(REVERSED_ARROW, r, side="f", reduce=True)
     assert abs(result.obstructions.determinant) == det
+
+
+@pytest.mark.parametrize("side, solves", [("fg", ["f", "g"]), ("f", ["f"]), ("g", ["g"])])
+def test_pipeline_solves_each_side_once(ex1_graph, monkeypatch, side, solves):
+    """Step 1 and the product germ's fibre share one solve of each side,
+    and the product fibre equals the one built on its own."""
+    calls = []
+    solve = resolve.solve_monodromical
+
+    def counted(graph, s):
+        calls.append(s)
+        return solve(graph, s)
+
+    monkeypatch.setattr(resolve, "solve_monodromical", counted)
+    obs = run_pipeline(ex1_graph, 3, side=side).obstructions
+    assert calls == solves
+    if side == "fg":
+        product = fibre_euler(resolve.product_multiplicity_tree(ex1_graph))
+        assert (obs.product_chi, obs.product_genus, obs.product_boundary) == (
+            product.chi, product.genus, product.boundary)
+    else:
+        assert obs.product_chi is None

@@ -7,8 +7,9 @@ from nielsen_iso import nielsen_isomorphic
 from susplink.errors import UnsupportedError
 from susplink.graphs import NielsenGraph, NielsenVertex, Stalk
 from susplink.nielsen import build_nielsen
+from susplink.pipeline import run_pipeline
 from susplink.power import _lift_valency, power_nielsen, valency_formula_notes
-from susplink.resolve import subtract_and_normalize
+from susplink.resolve import parse_resolution, subtract_and_normalize
 
 
 def nielsen_of(graph):
@@ -104,3 +105,58 @@ def test_lift_valency_is_whole_and_keeps_sigma_a_unit():
                     copies, lam_new, sigma_new = _lift_valency(m, r, lam, sigma)
                     assert copies == n_i and lam_new * n == lam * n_i
                     assert 0 <= sigma_new < lam_new and gcd(sigma_new, lam_new) == 1
+
+
+# (y^2 - x^3)^2 - x^5 y, Newton pairs (2,3) and (2,1): the (2,13)-cable of
+# the trefoil, with m = 4, 12, 6, 26, 13.  Node 2 carries no arrow, and its
+# piece of the fibre has d = gcd(12/3, 12/2, 12/6) = 2 components.
+CABLE = """
+vertex 1 weight=-3
+vertex 2 weight=-3
+vertex 3 weight=-2
+vertex 4 weight=-1
+vertex 5 weight=-2
+edge 1 2
+edge 2 3
+edge 2 4
+edge 4 5
+arrow 4 side=f
+"""
+
+
+def test_cable_double_cover_has_h1_of_order_13():
+    """At r = 2 node 2 splits in two pieces (fresh id 5).  The link is the
+    double cover branched along the knot, |H_1| = |Delta(-1)| = 13, and as a
+    hypersurface it is negative definite, numerically Gorenstein and passes
+    the mod-12 congruence."""
+    result = run_pipeline(CABLE, 2, side="f", reduce=True)
+    assert [(v.id, v.order, v.genus) for v in result.nielsen_power.vertices] == [
+        (2, 6, 0), (5, 6, 0), (4, 13, 0)]
+    obs = result.obstructions
+    assert abs(obs.determinant) == 13
+    assert obs.negative_definite and obs.numerically_gorenstein and obs.ls_congruent
+    assert sorted(v.weight for v in result.blowdown.vertices) == [-3, -3, -2, -2, -2, -2]
+
+
+def test_cable_at_r_12_has_two_genus_1_pieces_and_no_cycle():
+    """b_1 = 4, the roots of Phi_12 among the 12th roots of unity: two
+    genus-1 pieces on a tree, not one genus-1 piece on a cycle."""
+    result = run_pipeline(CABLE, 12, side="f")
+    assert sorted((v.order, v.genus) for v in result.nielsen_power.vertices) == [
+        (1, 1), (1, 1), (13, 0)]
+    assert result.plumbing_full.is_tree()
+    assert 2 * sum(v.genus for v in result.plumbing_full.vertices) == 4
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_cable_copies_share_every_incidence(r):
+    """Each of the c = gcd(2, r) copies of node 2 gets the same share of
+    every lifted incidence, so all copies carry the same decorations."""
+    n = power_nielsen(nielsen_of(parse_resolution(CABLE)), r)
+    copies = [v for v in n.vertices if v.id != 4]
+    assert len(copies) == gcd(2, r)
+    shares = {tuple(sorted((s.lam, s.sigma) for s in n.stalks if s.vertex == v.id))
+              + tuple(sorted((e.lam_u, e.sigma_u) for e in n.edges if e.u == v.id))
+              for v in copies}
+    assert len(shares) == 1
+    assert len({(v.order, v.genus) for v in copies}) == 1

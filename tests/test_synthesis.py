@@ -14,6 +14,7 @@ from susplink.synthesis import (
     blow_down,
     chain_mults,
     normalize_edge_signs,
+    reduce_tree,
     strip_decorations,
     synth_plumbing,
     verify_balance,
@@ -21,6 +22,7 @@ from susplink.synthesis import (
 from susplink.waldhausen import nielsen_to_waldhausen
 import blowdown_reference
 import chain_reference
+import normalize_reference
 from dense_linalg import determinant
 from graph_helpers import weight_multiset
 from test_exactlinalg import plumbing_forms
@@ -380,6 +382,61 @@ def test_normalize_edge_signs_property(tree, flip_edges):
     # determinant of the intersection form is conjugation invariant
     assert determinant(intersection_matrix(normalized)) == \
         determinant(intersection_matrix(signed))
+
+
+@pytest.mark.parametrize("signs", [(1, 1, 1), (-1, -1, 1), (-1, 1, 1), (-1, -1, -1)])
+def test_normalize_edge_signs_rejects_a_cycle_with_tree_many_edges(signs):
+    """A triangle and an isolated vertex have |V| - 1 edges but are no
+    tree, whether the cycle carries an even or an odd number of -1 signs;
+    an odd one must not surface as the colouring's BalanceError."""
+    tree = PlumbingTree(
+        tuple(Vertex(i, -2) for i in (1, 2, 3, 4)),
+        tuple(Edge(u, v, s) for (u, v), s in zip(((1, 2), (2, 3), (3, 1)), signs)))
+    assert not tree.is_tree()
+    with pytest.raises(NotATreeError, match="sign normalization skipped"):
+        normalize_edge_signs(tree)
+    assert reduce_tree(tree) == blow_down(tree)  # signs kept, nothing to blow down
+
+
+def test_normalize_edge_signs_rejects_the_empty_graph():
+    with pytest.raises(NotATreeError):
+        normalize_edge_signs(PlumbingTree(()))
+
+
+@st.composite
+def decorated_trees(draw):
+    """Trees with shuffled ids, vertex and edge orders and edge directions,
+    a multiplicity (none, zero or signed), a flip flag and a label on each
+    vertex, random edge signs, and arrows with signed multiplicities."""
+    n = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n, unique=True))
+    vertices = tuple(
+        Vertex(i, draw(st.integers(-4, 0)), draw(st.integers(0, 1)),
+               draw(st.none() | st.integers(-6, 6)), draw(st.booleans()), f"v{i}")
+        for i in ids)
+    edges = []
+    for k in range(1, n):
+        u, v = ids[draw(st.integers(0, k - 1))], ids[k]
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append(Edge(u, v, draw(st.sampled_from((1, -1)))))
+    arrows = draw(st.lists(st.builds(Arrow, st.sampled_from(ids), st.sampled_from((1, -1)),
+                                     st.sampled_from(("", "binding"))), max_size=3))
+    return PlumbingTree(vertices, tuple(draw(st.permutations(edges))), tuple(arrows))
+
+
+@given(decorated_trees())
+def test_normalize_edge_signs_matches_reference(tree):
+    """Vertices, edges and arrows equal the docstring's reference, and each
+    one whose fields do not change is the input's own object."""
+    normalized = normalize_edge_signs(tree)
+    reference = normalize_reference.normalize_edge_signs(tree)
+    assert normalized.vertices == reference.vertices
+    assert normalized.edges == reference.edges
+    assert normalized.arrows == reference.arrows
+    for part in ("vertices", "edges", "arrows"):
+        for before, after in zip(getattr(tree, part), getattr(normalized, part)):
+            assert (after is before) == (after == before)
 
 
 def test_blow_down_rejects_parallel_edge_vertex():
