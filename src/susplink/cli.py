@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from functools import cache
 
@@ -66,9 +68,19 @@ def _load(path: str, want, stage: str):
 
 
 def _emit(text: str, out: str | None):
+    """Write ``text`` to the file ``out``, or to stdout for None or '-'.
+
+    A file is rewritten in place and then cut to the new length, not
+    truncated before the write: on ext4, closing a file that was truncated
+    from a nonzero size starts its writeback at once.  Only a regular file
+    is cut, since ``/dev/null`` or a pipe cannot be.
+    """
     if out and out != "-":
-        with open(out, "w", encoding="utf-8") as handle:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
     else:
         sys.stdout.write(text)
 
@@ -220,7 +232,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text = _COMMANDS[args.command](args)
+        _emit(_COMMANDS[args.command](args), args.output)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 1
@@ -230,7 +242,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(text, args.output)
     return 0
 
 

@@ -2,7 +2,9 @@ import contextlib
 import functools
 import io
 import json
+import os
 import random
+import stat
 import sys
 import tempfile
 from fractions import Fraction
@@ -101,6 +103,47 @@ def test_missing_input_file_is_an_os_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "absent.txt" in err
+
+
+def test_output_file_is_rewritten_in_place(tmp_path, capsys):
+    """``-o FILE`` leaves the bytes ``-o -`` prints, with no tail of a longer
+    earlier document, creates a missing file under the umask, writes through
+    a symlink and accepts a device."""
+    docs, printed = {}, {}
+    for name in ("ex3", "cusp"):
+        docs[name] = tmp_path / f"{name}_w.json"
+        docs[name].write_text(to_json(run_pipeline(read_input(f"{name}.txt"), 5).waldhausen),
+                              encoding="utf-8")
+        code, stdout, err = run_cli(capsys, "plumbing", str(docs[name]), "-o", "-")
+        assert (code, err) == (0, "")
+        printed[name] = stdout.encode("utf-8")
+    assert len(printed["ex3"]) > len(printed["cusp"])
+
+    out = tmp_path / "tree.json"
+    old_umask = os.umask(0o027)
+    try:
+        assert run_cli(capsys, "plumbing", str(docs["ex3"]), "-o", str(out)) == (0, "", "")
+    finally:
+        os.umask(old_umask)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert out.read_bytes() == printed["ex3"]
+    assert run_cli(capsys, "plumbing", str(docs["cusp"]), "-o", str(out)) == (0, "", "")
+    assert out.read_bytes() == printed["cusp"]
+
+    link = tmp_path / "link.json"
+    link.symlink_to(out)
+    assert run_cli(capsys, "plumbing", str(docs["ex3"]), "-o", str(link)) == (0, "", "")
+    assert link.is_symlink() and out.read_bytes() == printed["ex3"]
+    assert run_cli(capsys, "plumbing", str(docs["cusp"]), "-o", os.devnull) == (0, "", "")
+
+
+@pytest.mark.parametrize("target", [("missing", "x.json"), ()], ids=["missing_dir", "dir"])
+def test_unwritable_output_is_an_os_error(tmp_path, capsys, target):
+    out = tmp_path.joinpath(*target)
+    code, stdout, err = run_cli(capsys, "step1", str(DATA / "ex1.txt"), "-o", str(out))
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_plumbing_text_output_is_the_pipeline_step5(tmp_path, capsys):
