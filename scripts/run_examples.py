@@ -13,7 +13,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from susplink.invariants import determinant
 from susplink.pipeline import run_pipeline
 from susplink.report import describe_obstructions
 
@@ -36,14 +35,14 @@ def main() -> int:
         print(f"   final tree: {len(tree.vertices)} vertices, "
               f"weights {sorted(Counter(v.weight for v in tree.vertices).items())}")
         print(f"   reduced: {len(reduced.vertices)} vertices, "
-              f"|det| = {abs(determinant(reduced))}")
+              f"|det| = {abs(result.obstructions.determinant)}")
         for line in describe_obstructions(result.obstructions):
             print("  " + line)
         print()
     print("== r = 1 sanity (base manifold must be the 3-sphere)")
     for name, _ in RUNS[:3]:
         result = run_pipeline((DATA / name).read_text(), 1, reduce=True)
-        det = abs(determinant(result.blowdown))
+        det = abs(result.obstructions.determinant)
         print(f"   {name}: |det| after blow-down = {det}")
         assert det == 1
     return 0

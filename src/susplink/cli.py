@@ -30,7 +30,7 @@ from .graphs import (
     ResolutionGraph,
     WaldhausenGraph,
 )
-from .invariants import adjunction_system, chi_resolution, is_num_gorenstein, k_squared
+from .invariants import form_invariants
 from .nielsen import build_nielsen
 from .pipeline import StageError, _stage, run_pipeline
 from .power import power_nielsen
@@ -145,58 +145,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_step1(args) -> str:
-    graph = _load(args.input, ResolutionGraph, "step1")
-    mp = subtract_and_normalize(graph, args.side)
-    return _graph_output(mp, args.format)
-
-
-def _cmd_nielsen(args) -> str:
-    mp = _load(args.input, MultPlumbing, "nielsen")
-    return _graph_output(build_nielsen(mp), args.format)
-
-
-def _cmd_power(args) -> str:
-    n = _load(args.input, NielsenGraph, "power")
-    return _graph_output(power_nielsen(n, args.r), args.format)
-
-
-def _cmd_waldhausen(args) -> str:
-    n = _load(args.input, NielsenGraph, "waldhausen")
-    return _graph_output(nielsen_to_waldhausen(n), args.format)
-
-
-def _cmd_plumbing(args) -> str:
-    w = _load(args.input, WaldhausenGraph, "plumbing")
-    tree = synth_plumbing(w)
-    if not args.keep_arrows:
+def _shown_tree(tree: PlumbingTree, args) -> PlumbingTree:
+    """``tree`` as ``plumbing`` and ``invariants`` show it: without its
+    binding arrows unless --keep-arrows, then blown down on --blow-down."""
+    if not getattr(args, "keep_arrows", False):
         tree = strip_decorations(tree)
     if args.blow_down:
         tree = reduce_tree(tree)
-    return _graph_output(tree, args.format)
+    return tree
 
 
-def _cmd_invariants(args) -> str:
-    tree = _load(args.input, PlumbingTree, "invariants")
-    tree = strip_decorations(tree)
-    if args.blow_down:
-        tree = reduce_tree(tree)
-    form = adjunction_system(tree)
-    K = form.solution
-    data = {
-        "schema": "susplink/invariants:1",
-        "K": [frac_str(k) for k in K],
-        "K_squared": frac_str(k_squared(tree, K)),
-        "numerically_gorenstein": is_num_gorenstein(K),
-        "chi_resolution": chi_resolution(tree),
-        "determinant": form.determinant,
-        "negative_definite": form.negative_definite,
-    }
-    if args.format == "json":
-        return json.dumps(data, indent=2) + "\n"
-    data["K"] = "(" + ", ".join(data["K"]) + ")"
-    lines = [f"{key} = {value}" for key, value in data.items() if key != "schema"]
-    return "\n".join(lines) + "\n"
+def _invariants_output(form: dict, fmt: str) -> str:
+    K = [frac_str(k) for k in form["K"]]
+    data = {**form, "K": K, "K_squared": frac_str(form["K_squared"])}
+    if fmt == "json":
+        return json.dumps({"schema": "susplink/invariants:1", **data}, indent=2) + "\n"
+    data["K"] = "(" + ", ".join(K) + ")"
+    return "".join(f"{key} = {value}\n" for key, value in data.items())
+
+
+# Stage subcommand -> (input document type, its stage on (input, args)).
+# Each stage function is looked up by name when it runs, so rebinding a
+# module attribute (as a tracer does) reaches these calls too.
+_STAGE_COMMANDS = {
+    "step1": (ResolutionGraph, lambda g, args: subtract_and_normalize(g, args.side)),
+    "nielsen": (MultPlumbing, lambda g, args: build_nielsen(g)),
+    "power": (NielsenGraph, lambda g, args: power_nielsen(g, args.r)),
+    "waldhausen": (NielsenGraph, lambda g, args: nielsen_to_waldhausen(g)),
+    "plumbing": (WaldhausenGraph, lambda g, args: _shown_tree(synth_plumbing(g), args)),
+    "invariants": (PlumbingTree, lambda g, args: form_invariants(_shown_tree(g, args))),
+}
+
+
+def _cmd_stage(args) -> str:
+    want, run = _STAGE_COMMANDS[args.command]
+    result = _stage(args.command)(run, _load(args.input, want, args.command), args)
+    if args.command == "invariants":
+        return _invariants_output(result, args.format)
+    return _graph_output(result, args.format)
 
 
 def _run_one_pipeline(path: str, args) -> str:
@@ -218,21 +204,11 @@ def _cmd_pipeline(args) -> str:
                    for path in args.inputs)
 
 
-_COMMANDS = {
-    "step1": _cmd_step1,
-    "nielsen": _cmd_nielsen,
-    "power": _cmd_power,
-    "waldhausen": _cmd_waldhausen,
-    "plumbing": _cmd_plumbing,
-    "invariants": _cmd_invariants,
-    "pipeline": _cmd_pipeline,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _emit(_COMMANDS[args.command](args), args.output)
+        command = _cmd_pipeline if args.command == "pipeline" else _cmd_stage
+        _emit(command(args), args.output)
     except StageError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import InputError, NotATreeError, UnsupportedError, excerpt
+from .errors import BalanceError, InputError, NotATreeError, UnsupportedError, excerpt
 
 __all__ = [
     "Vertex",
@@ -52,7 +52,6 @@ __all__ = [
     "unbalanced",
     "adjacency",
     "check_tree",
-    "require_fixed_pieces",
 ]
 
 
@@ -144,24 +143,38 @@ def adjacency(ids, edges) -> dict[int, list[tuple[int, int]]]:
     return adj
 
 
-def _is_tree(ids, edge_pairs) -> bool:
-    if not ids:
-        return False
-    if len(edge_pairs) != len(ids) - 1:
-        return False
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for u, v in edge_pairs:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = set()
-    stack = [ids[0]]
-    while stack:
-        x = stack.pop()
-        if x in seen:
+def _two_colouring(ids, signed_edges) -> tuple[dict[int, int], int]:
+    """+-1 per vertex with colour(v) = colour(u) * sign across every
+    (u, v, sign) in ``signed_edges``, breadth first from the least id of
+    each component, and the component count; an odd -1 cycle has none."""
+    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
+    for u, v, sign in signed_edges:
+        adj[u].append((v, sign))
+        adj[v].append((u, sign))
+    colors: dict[int, int] = {}
+    roots = 0
+    for root in sorted(adj):
+        if root in colors:
             continue
-        seen.add(x)
-        stack.extend(y for y in adj[x] if y not in seen)
-    return len(seen) == len(ids)
+        roots += 1
+        colors[root], queue = 1, [root]
+        for u in queue:  # read while it grows: first in, first out
+            for v, sign in adj[u]:
+                want = colors[u] * sign
+                if v not in colors:
+                    colors[v] = want
+                    queue.append(v)
+                elif colors[v] != want:
+                    raise BalanceError(
+                        "eps-parity 2-coloring impossible (odd gluing cycle)",
+                        elements=(u, v))
+    return colors, roots
+
+
+def _is_tree(ids, edge_pairs) -> bool:
+    """Nonempty, |V| - 1 edges and one component."""
+    return (bool(ids) and len(edge_pairs) == len(ids) - 1
+            and _two_colouring(ids, [(u, v, 1) for u, v in edge_pairs])[1] == 1)
 
 
 def check_tree(ids, edge_pairs, what: str = "graph"):
@@ -312,15 +325,11 @@ class MultPlumbing:
 
 def _check_pieces(vertices) -> None:
     """Vertices of Nielsen and Waldhausen graphs are pieces with an order
-    and a q of at least 1 and a nonnegative genus."""
+    and a q of at least 1 and a nonnegative genus; of these only pieces
+    fixed by the monodromy (q = 1) are supported."""
     for v in vertices:
         if v.order < 1 or v.q < 1 or v.genus < 0:
             raise InputError("order and q must be >= 1, genus >= 0", elements=(v.id,))
-
-
-def require_fixed_pieces(vertices) -> None:
-    """Only pieces fixed by the monodromy (q = 1) are supported."""
-    for v in vertices:
         if v.q != 1:
             raise UnsupportedError(
                 "pieces permuted in orbits of size q > 1 are not supported",

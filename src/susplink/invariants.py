@@ -34,6 +34,7 @@ __all__ = [
     "laufer_steenbrink",
     "determinant",
     "negative_definite",
+    "form_invariants",
     "ObstructionReport",
     "obstruction_report",
 ]
@@ -146,6 +147,22 @@ def negative_definite(tree: PlumbingTree) -> bool:
     return eliminate(tree).negative_definite
 
 
+def form_invariants(tree: PlumbingTree) -> dict:
+    """K, K^2, the numerically-Gorenstein test, chi(resolution), det and
+    negative-definiteness of ``tree``, under their ``ObstructionReport``
+    names, from one elimination of the adjunction system."""
+    form = adjunction_system(tree)
+    K = form.solution
+    return {
+        "K": tuple(K),
+        "K_squared": k_squared(tree, K),
+        "numerically_gorenstein": is_num_gorenstein(K),
+        "chi_resolution": chi_resolution(tree),
+        "determinant": form.determinant,
+        "negative_definite": form.negative_definite,
+    }
+
+
 @dataclass(frozen=True)
 class ObstructionReport:
     K: tuple[Fraction, ...]
@@ -177,19 +194,13 @@ def obstruction_report(mp: MultPlumbing, tree: PlumbingTree, r: int,
     adjunction system); the suspension fibre chi uses the join formula with
     the same r that produced the tree.
     """
-    form = adjunction_system(tree)
-    K = form.solution
-    ksq = k_squared(tree, K)
+    form = form_invariants(tree)
     fibre = fibre_euler(mp)
     chi_F = join_euler(fibre.chi, r)
-    chi_res = chi_resolution(tree)
-    ls = _congruence(K, chi_res + ksq, chi_F)
+    ls = _congruence(form["K"], form["chi_resolution"] + form["K_squared"], chi_F)
     product = fibre_euler(product_mp) if product_mp is not None else None
     return ObstructionReport(
-        K=tuple(K),
-        K_squared=ksq,
-        numerically_gorenstein=ls.applicable,
-        chi_resolution=chi_res,
+        **form,
         chi_fibre_fg=fibre.chi,
         fibre_genus=fibre.genus,
         fibre_boundary=fibre.boundary,
@@ -199,8 +210,6 @@ def obstruction_report(mp: MultPlumbing, tree: PlumbingTree, r: int,
         ls_left=ls.left,
         ls_right=ls.right,
         ls_congruent=ls.congruent,
-        negative_definite=form.negative_definite,
-        determinant=form.determinant,
         product_chi=product.chi if product else None,
         product_genus=product.genus if product else None,
         product_boundary=product.boundary if product else None,

@@ -30,7 +30,6 @@ from .graphs import (
     NielsenGraph,
     NielsenVertex,
     Stalk,
-    require_fixed_pieces,
 )
 
 __all__ = ["power_nielsen", "valency_formula_notes"]
@@ -57,7 +56,6 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     """
     if r < 1:
         raise InputError(f"power must be >= 1, got {r}")
-    require_fixed_pieces(n.vertices)
 
     order = {v.id: v.order for v in n.vertices}
     components = dict.fromkeys(order, 0)

@@ -24,8 +24,8 @@ from fractions import Fraction
 from .contfrac import neg_cf_expand
 from .errors import BalanceError, MonodromyError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
-from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph,
-                     require_fixed_pieces, unbalanced)
+from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, _two_colouring,
+                     unbalanced)
 
 __all__ = ["chain_mults", "synth_plumbing", "blow_down", "normalize_edge_signs",
            "reduce_tree", "strip_decorations", "verify_balance"]
@@ -72,34 +72,6 @@ def _chain_values(weights, left_mult, first):
     return values
 
 
-def _two_colouring(ids, signed_edges) -> tuple[dict[int, int], int]:
-    """+-1 per vertex with colour(v) = colour(u) * sign across every
-    (u, v, sign) in ``signed_edges``, breadth first from the least id of
-    each component, and the component count; an odd -1 cycle has none."""
-    adj: dict[int, list[tuple[int, int]]] = {i: [] for i in ids}
-    for u, v, sign in signed_edges:
-        adj[u].append((v, sign))
-        adj[v].append((u, sign))
-    colors: dict[int, int] = {}
-    roots = 0
-    for root in sorted(adj):
-        if root in colors:
-            continue
-        roots += 1
-        colors[root], queue = 1, [root]
-        for u in queue:  # read while it grows: first in, first out
-            for v, sign in adj[u]:
-                want = colors[u] * sign
-                if v not in colors:
-                    colors[v] = want
-                    queue.append(v)
-                elif colors[v] != want:
-                    raise BalanceError(
-                        "eps-parity 2-coloring impossible (odd gluing cycle)",
-                        elements=(u, v))
-    return colors, roots
-
-
 def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
     """Plumbing tree whose boundary carries the open book described by ``w``,
     with its binding arrows and every multiplicity.
@@ -110,7 +82,6 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
     its neighbour and arrow multiplicities.  The monodromical balance is
     re-checked globally before returning.
     """
-    require_fixed_pieces(w.vertices)
     # multiplicity signs of the Seifert pieces, across the eps = -1 gluings
     colors, _ = _two_colouring(w.ids, [(e.u, e.v, e.eps) for e in w.edges])
     mult = {v.id: colors[v.id] * v.order for v in w.vertices}

@@ -38,7 +38,6 @@ from .graphs import (
     WaldhausenGraph,
     WaldStalk,
     WaldVertex,
-    require_fixed_pieces,
 )
 
 __all__ = ["nielsen_to_waldhausen"]
@@ -66,7 +65,6 @@ def _seifert_pair(m: int, m_far: int, t: Fraction, lam: int, sigma: int,
 
 def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
     """Waldhausen graph of the pair (mapping-torus manifold, binding)."""
-    require_fixed_pieces(n.vertices)
     order = {v.id: v.order for v in n.vertices}
     euler = {v.id: Fraction(0) for v in n.vertices}
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from susplink import cli
 from susplink.cli import build_parser, main
 from susplink.graphs import BoundaryStalk, NielsenEdge, NielsenGraph, NielsenVertex, Stalk
 from susplink.pipeline import run_pipeline
@@ -202,6 +203,50 @@ def test_malformed_stage_document(tmp_path, capsys, command, doc):
     assert err.startswith(f"error [{command}] ")
 
 
+@pytest.mark.parametrize("command", ["power", "waldhausen"])
+def test_q_gt_1_nielsen_document_fails_in_the_reading_stage(tmp_path, capsys, command):
+    """A piece with q = 2 is rejected while the document is read, in the
+    stage that reads it, and named."""
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps({
+        "schema": "susplink/nielsen:1",
+        "vertices": [{"id": 1, "order": 4, "genus": 0, "q": 2}],
+        "stalks": [{"vertex": 1, "lam": 2, "sigma": 1}, {"vertex": 1, "lam": 2, "sigma": 1}],
+    }), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error [{command}] pieces permuted in orbits of size q > 1 "
+                   "are not supported (elements: 1)\n")
+
+
+@pytest.mark.parametrize("command,function,source,argv", [
+    ("step1", "subtract_and_normalize", None, []),
+    ("nielsen", "build_nielsen", "mp.json", []),
+    ("power", "power_nielsen", "n.json", ["-r", "3"]),
+    ("waldhausen", "nielsen_to_waldhausen", "n3.json", []),
+    ("plumbing", "synth_plumbing", "w.json", []),
+])
+def test_stage_subcommand_calls_its_stage_function_by_name(
+        tmp_path, capsys, monkeypatch, command, function, source, argv):
+    """Each stage subcommand looks its stage function up in ``susplink.cli``
+    when it runs, so a rebound module attribute sees exactly one call."""
+    mp, n, n3, w = (str(tmp_path / name) for name in ("mp.json", "n.json", "n3.json", "w.json"))
+    for args in (["step1", str(DATA / "ex1.txt"), "-o", mp], ["nielsen", mp, "-o", n],
+                 ["power", n, "-r", "3", "-o", n3], ["waldhausen", n3, "-o", w]):
+        assert main(args) == 0
+    original, calls = getattr(cli, function), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, function, counting)
+    path = DATA / "ex1.txt" if source is None else tmp_path / source
+    code, _, err = run_cli(capsys, command, str(path), *argv)
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("text", [
     pytest.param('{"schema": ' + "[" * 100_000 + "]" * 100_000 + "}", id="nested_1e5_deep"),
     pytest.param('{"schema": "susplink/plumbing:1", "vertices": [{"id": ' + "9" * 5000
@@ -279,6 +324,25 @@ def test_golden_outputs(capsys, name, argv):
     assert code == 0
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert out == expected
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("ex3_r5_invariants.txt", []),
+    ("ex3_r5_invariants.json", ["--format", "json"]),
+])
+def test_invariants_golden_outputs(tmp_path, capsys, name, argv):
+    """Byte-for-byte stability of ``invariants`` on ex3's r = 5 plumbing
+    document, as text and as JSON."""
+    w = tmp_path / "w.json"
+    tree = tmp_path / "tree.json"
+    assert main(["step1", str(DATA / "ex3.txt"), "-o", str(tmp_path / "mp.json")]) == 0
+    assert main(["nielsen", str(tmp_path / "mp.json"), "-o", str(tmp_path / "n.json")]) == 0
+    assert main(["power", str(tmp_path / "n.json"), "-r", "5", "-o", str(tmp_path / "n5.json")]) == 0
+    assert main(["waldhausen", str(tmp_path / "n5.json"), "-o", str(w)]) == 0
+    assert main(["plumbing", str(w), "-o", str(tree)]) == 0
+    code, out, _ = run_cli(capsys, "invariants", str(tree), *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_pipeline_keep_arrows(capsys):

@@ -82,10 +82,11 @@ def test_power_composition(ex1_graph, ex2_graph, ex3_graph):
 
 
 def test_power_rejects_q_gt_1():
-    n = NielsenGraph((NielsenVertex(1, 4, 0, 2),),
-                     (Stalk(1, 2, 1), Stalk(1, 2, 1)))
-    with pytest.raises(UnsupportedError):
-        power_nielsen(n, 2)
+    """A q = 2 piece is rejected where its Nielsen graph is built."""
+    with pytest.raises(UnsupportedError, match="pieces permuted") as info:
+        power_nielsen(NielsenGraph((NielsenVertex(1, 4, 0, 2),),
+                                   (Stalk(1, 2, 1), Stalk(1, 2, 1))), 2)
+    assert info.value.elements == (1,)
 
 
 def test_valency_audit_notes(ex1_graph):

@@ -88,10 +88,19 @@ def test_pairs_normalized_and_dual(ex1_graph, ex2_graph, ex3_graph, cusp_graph):
 
 
 def test_rejects_q_gt_1():
-    n = NielsenGraph((NielsenVertex(1, 4, 0, 2),),
-                     (Stalk(1, 2, 1), Stalk(1, 2, 1)))
-    with pytest.raises(UnsupportedError):
-        nielsen_to_waldhausen(n)
+    """A q = 2 piece is rejected where its Nielsen graph is built."""
+    with pytest.raises(UnsupportedError, match="pieces permuted") as info:
+        nielsen_to_waldhausen(NielsenGraph((NielsenVertex(1, 4, 0, 2),),
+                                           (Stalk(1, 2, 1), Stalk(1, 2, 1))))
+    assert info.value.elements == (1,)
+
+
+def test_waldhausen_graph_rejects_q_gt_1():
+    """A q = 2 Seifert piece is rejected where its Waldhausen graph is built."""
+    with pytest.raises(UnsupportedError, match="pieces permuted") as info:
+        synth_plumbing(WaldhausenGraph((WaldVertex(1, -1, 0, 1), WaldVertex(2, -1, 0, 2)),
+                                       arrows=(WaldArrow(1, 1, 0),)))
+    assert info.value.elements == (2,)
 
 
 def test_normalization_failure_is_reported():
