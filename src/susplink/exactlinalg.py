@@ -12,10 +12,18 @@ determinant and the solution are unique, the form is singular in every
 order or in none, and by Sylvester's law of inertia the pivots are all 1x1
 and negative in one order exactly when the form is negative definite.
 
-Every rational inside the elimination is a reduced pair of ints
-``(numerator, denominator)`` with a positive denominator, kept reduced by
-``math.gcd``; only the returned solution is made of ``Fraction``s.  No
-floating point.
+The leaf pass runs on ints: vertex k keeps its pivot num_k/den_k and
+right-hand side bn_k/den_k unreduced, and stripping leaf v (edge count x)
+into k sets num_k <- num_k*num_v - x*x*den_v*den_k, bn_k <- bn_k*num_v -
+x*bn_v*den_k and den_k <- den_k*num_v.  So num_v is the determinant of v
+and all stripped into it, and den_v the product of those of its stripped
+neighbours (on a chain, Hirzebruch-Jung continuants): nothing outgrows the
+determinant, which is the product of num over the vertices stripped last
+in their component, of den over the vertices left, and of the loop's
+pivots.  The loop works on pairs of ints ``(numerator, denominator)``,
+kept reduced by ``math.gcd``, and so does the back-substitution; only the
+returned solution is made of ``Fraction``s.  A rational right-hand side is
+scaled to ints by the lcm of its denominators.  No floating point.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import MonodromyError
 
@@ -37,8 +45,9 @@ class Elimination:
 
 def eliminate(graph, rhs=None) -> Elimination:
     """Eliminate the form of ``graph`` (vertices with ``id`` and ``weight``,
-    edges with ``u``, ``v`` and ``sign``); with ``rhs`` also solve
-    form @ x = rhs, raising MonodromyError if the form is singular.
+    edges with ``u``, ``v`` and ``sign``); with ``rhs`` (ints or Fractions,
+    one per vertex) also solve form @ x = rhs, raising MonodromyError if the
+    form is singular.
 
     After the leaf pass, the pivot is the least-degree vertex whose reduced
     diagonal is nonzero, else a 2x2 block on a nonzero off-diagonal entry;
@@ -46,37 +55,52 @@ def eliminate(graph, rhs=None) -> Elimination:
     """
     index = {v.id: i for i, v in enumerate(graph.vertices)}
     n = len(index)
-    diag = [(v.weight, 1) for v in graph.vertices]
+    if rhs is not None and len(rhs) != n:
+        raise ValueError(f"rhs has {len(rhs)} entries for a form of {n} vertices")
     off: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     for e in graph.edges:
-        _accumulate(off[index[e.u]], index[e.v], (e.sign, 1))
-        _accumulate(off[index[e.v]], index[e.u], (e.sign, 1))
-    b = [(x.numerator, x.denominator) for x in rhs] if rhs is not None else [(0, 1)] * n
+        u, v = index[e.u], index[e.v]
+        x = off[u][v][0] + e.sign if v in off[u] else e.sign
+        if x:
+            off[u][v] = off[v][u] = (x, 1)
+        else:
+            del off[u][v], off[v][u]
+    # Leaf pass on ints (module docstring), the rhs scaled by ``scale``.
+    num, den = [v.weight for v in graph.vertices], [1] * n
+    scale = lcm(*(x.denominator for x in rhs)) if rhs is not None else 1
+    bn = [x.numerator * (scale // x.denominator) for x in rhs] if rhs is not None else None
     alive = [True] * n
-    det, definite, leaves, steps, remaining = (1, 1), True, [], [], n
-    # Leaf pass.  Off-diagonal entries are still integer edge counts, so a leaf
-    # v (pivot d, entry x at k) changes only diag[k] by -x*x/d, b[k] by -x/d*b[v].
+    det, definite, leaves, steps, remaining = 1, True, [], [], n
     stack = [i for i in range(n) if len(off[i]) < 2]
     while stack:
         v = stack.pop()
-        d, row = diag[v], off[v]
-        if not alive[v] or len(row) > 1 or not d[0]:
+        d, row = num[v], off[v]
+        if not alive[v] or len(row) > 1 or not d:
             continue
         alive[v] = False
         remaining -= 1
-        det = _mul(det, d)
-        definite = definite and d[0] < 0
+        definite = definite and (d < 0) != (den[v] < 0)
+        if not row:
+            det *= d
         for k, (x, _) in row.items():
             del off[k][v]
-            g = gcd(x, d[0]) if d[0] > 0 else -gcd(x, d[0])
-            pn, pd = x // g * d[1], d[0] // g  # x/d, reduced, with pd > 0
-            g = gcd(x, pd)
-            diag[k] = _add(diag[k], (-(x // g) * pn, pd // g))
-            if b[v][0]:
-                b[k] = _add(b[k], _mul((-pn, pd), b[v]))
+            e = den[k]
+            num[k] = num[k] * d - x * x * den[v] * e
+            if bn is not None:
+                bn[k] = bn[k] * d - x * bn[v] * e
+            den[k] = e * d
             if len(off[k]) < 2:
                 stack.append(k)
-        leaves.append((v, row))
+        leaves.append(v)
+    # The vertices left enter det by their den, and the loop as reduced pairs.
+    diag, b = [None] * n, [(0, 1)] * n
+    for k in (range(n) if remaining else ()):
+        if alive[k]:
+            det *= den[k]
+            diag[k] = _pair(num[k], den[k])
+            if bn is not None:
+                b[k] = _pair(bn[k], den[k])
+    det = (det, 1)
     heap = [(len(off[i]), i) for i in range(n) if alive[i]]
     heapq.heapify(heap)
     # A vertex the 2x2 search passes over is dead, or has no off-diagonal
@@ -140,13 +164,20 @@ def eliminate(graph, rhs=None) -> Elimination:
             residual[t] = r
         for (s, t), p in inverse.items():
             x[s] = _add(x[s], _mul(p, residual[t]))
-    for v, row in reversed(leaves):
-        r = b[v]
-        for k, (y, _) in row.items():
-            r = _add(r, _mul((-y, 1), x[k]))
-        x[v] = _mul(r, _inverse(diag[v]))
-    return Elimination(det[0], definite,
-                       [Fraction(q[0]) if q[1] == 1 else Fraction(*q) for q in x])
+    # x_v = (bn[v] - y * den[v] * x_k) / num[v] for v's one neighbour k,
+    # with y = 0 and x_k = 0 when it had none; the pair comes out reduced.
+    for v in reversed(leaves):
+        d, e = num[v], den[v]
+        y, p, q = 0, 0, 1
+        for k, (y, _) in off[v].items():
+            p, q = x[k]
+        g = gcd(y * e, q)
+        q //= g
+        top = bn[v] * q - y * e // g * p
+        g = gcd(top, d) if d > 0 else -gcd(top, d)
+        x[v] = top // g, d // g * q
+    return Elimination(det[0], definite, [Fraction(p, q * scale) if q * scale != 1
+                                          else Fraction(p) for p, q in x])
 
 
 def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -170,6 +201,14 @@ def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     num = an * (bd // g) + bn * s
     g2 = gcd(num, g)
     return num // g2, s * (bd // g2)
+
+
+def _pair(num: int, den: int) -> tuple[int, int]:
+    """num/den as a reduced pair with a positive denominator."""
+    if den == 1:
+        return num, 1
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
 
 
 def _inverse(a: tuple[int, int]) -> tuple[int, int]:

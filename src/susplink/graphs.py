@@ -394,9 +394,9 @@ class NielsenGraph:
     def __post_init__(self):
         ids = _ids(self.vertices)
         order = {v.id: v.order for v in self.vertices}
-        # sum of sigma/lam per vertex; its integrality does not depend on
-        # the representative choice
-        euler = {i: Fraction(0) for i in ids}
+        # m * (sum of sigma/lam) per vertex, in ints as lam divides m; its
+        # divisibility by m does not depend on the representative choice
+        euler = dict.fromkeys(ids, 0)
         _check_pieces(self.vertices)
         for vid, lam, sigma in self.incidences():
             if vid not in euler:
@@ -415,7 +415,7 @@ class NielsenGraph:
                 raise InputError(
                     f"sigma = {sigma} is not invertible mod lam = {lam}",
                     elements=(vid,))
-            euler[vid] += Fraction(sigma, lam)
+            euler[vid] += sigma * (order[vid] // lam)
         for b in self.boundary_stalks:
             if b.twist == 0:
                 raise InputError("boundary-stalk twist must be nonzero",
@@ -428,10 +428,10 @@ class NielsenGraph:
                     "edge orbit counts disagree: m_u/lam_u != m_v/lam_v",
                     elements=(e.u, e.v))
         for vid, total in euler.items():
-            if total.denominator != 1:
-                raise InputError(
-                    f"sum of sigma/lam at vertex {vid} is {total}, not an integer",
-                    elements=(vid,))
+            if total % order[vid]:
+                raise InputError(f"sum of sigma/lam at vertex {vid} is "
+                                 f"{Fraction(total, order[vid])}, not an integer",
+                                 elements=(vid,))
 
     def incidences(self):
         """Every valency as (vertex, lam, sigma): stalks, boundary stalks,

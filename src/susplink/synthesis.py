@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import heapq
 from contextlib import suppress
-from dataclasses import replace
 from fractions import Fraction
 
 from .contfrac import neg_cf_expand
@@ -171,8 +170,8 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
     after the last step, and |det| of the whole form is compared before the
     first step and after the last.
 
-    Only the neighbours of a removed vertex can become candidates, so the
-    positions still to look at wait in a heap, and the least one is
+    Only the -1 vertices and the neighbours of a removed vertex can become
+    candidates, so their positions wait in a heap, and the least one is
     re-checked when it is taken.
     """
     order = tree.ids
@@ -183,7 +182,7 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
     for i, e in enumerate(edges):
         incident[e.u][i] = incident[e.v][i] = None
     pinned = {v.id for v in tree.vertices if v.genus} | {a.vertex for a in tree.arrows}
-    worklist = list(range(len(order)))  # sorted, hence a heap
+    worklist = [i for i, v in enumerate(tree.vertices) if v.weight == -1]  # sorted: a heap
     det = abs(eliminate(tree).determinant)
     while len(weight) > 1 and worklist:
         vid = order[heapq.heappop(worklist)]
@@ -210,7 +209,8 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
     if len(weight) == len(order):
         return tree
     out = PlumbingTree(
-        tuple(v if v.weight == weight[v.id] else replace(v, weight=weight[v.id])
+        tuple(v if v.weight == weight[v.id] else
+              Vertex(v.id, weight[v.id], v.genus, v.mult, v.flipped, v.origin)
               for v in tree.vertices if v.id in weight),
         tuple(e for e in edges if e is not None), tree.arrows)
     after = abs(eliminate(out).determinant)

@@ -66,21 +66,21 @@ def _seifert_pair(m: int, m_far: int, t: Fraction, lam: int, sigma: int,
 def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
     """Waldhausen graph of the pair (mapping-torus manifold, binding)."""
     order = {v.id: v.order for v in n.vertices}
-    euler = {v.id: Fraction(0) for v in n.vertices}
+    euler = dict.fromkeys(order, 0)  # m * (sum of sigma/lam), a multiple of m
 
     stalks = []
     for s in n.stalks:
         if s.lam == 1:
             continue  # regular fibre, contributes (1, 0)
         stalks.append(WaldStalk(s.vertex, s.lam, s.sigma))
-        euler[s.vertex] += Fraction(s.sigma, s.lam)
+        euler[s.vertex] += s.sigma * (order[s.vertex] // s.lam)
 
     arrows = []
     for b in n.boundary_stalks:
         alpha, beta, sigma = _seifert_pair(order[b.vertex], 1, b.twist, b.lam, b.sigma,
                                            (b.vertex,))
         arrows.append(WaldArrow(b.vertex, alpha, beta, b.twist > 0))
-        euler[b.vertex] += Fraction(sigma, b.lam)
+        euler[b.vertex] += sigma * (order[b.vertex] // b.lam)
 
     edges = []
     for e in n.edges:
@@ -89,10 +89,10 @@ def nielsen_to_waldhausen(n: NielsenGraph) -> WaldhausenGraph:
                                                (e.u, e.v))
         _, beta_v, sigma_v = _seifert_pair(mv, mu, e.twist, e.lam_v, e.sigma_v, (e.v, e.u))
         edges.append(WaldEdge(e.u, e.v, -1 if e.twist > 0 else 1, alpha, beta_u, beta_v))
-        euler[e.u] += Fraction(sigma_u, e.lam_u)
-        euler[e.v] += Fraction(sigma_v, e.lam_v)
+        euler[e.u] += sigma_u * (mu // e.lam_u)
+        euler[e.v] += sigma_v * (mv // e.lam_v)
 
-    vertices = [WaldVertex(v.id, int(euler[v.id]), v.genus, v.q, v.order)
+    vertices = [WaldVertex(v.id, euler[v.id] // v.order, v.genus, v.q, v.order)
                 for v in n.vertices]
 
     return WaldhausenGraph(tuple(vertices), tuple(stalks), tuple(arrows), tuple(edges))

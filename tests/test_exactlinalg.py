@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -221,3 +222,78 @@ _ZERO_FORMS = ([pytest.param(_chain([0] * n), 0 if n % 2 else (-1) ** (n // 2), 
 def test_zero_weight_forms_match_dense_reference(tree, det):
     assert eliminate(tree).determinant == det
     _check_against_dense_reference(tree, list(range(1, len(tree.vertices) + 1)))
+
+
+# -- the integer leaf pass: named cases ---------------------------------------
+
+@given(plumbing_forms(), st.lists(st.fractions(-9, 9, max_denominator=12), min_size=7,
+                                  max_size=7))
+def test_fraction_rhs_matches_dense_reference(tree, rhs):
+    _check_against_dense_reference(tree, rhs)
+
+
+def test_fraction_rhs_is_solved_exactly():
+    """The rhs is scaled to ints by the lcm of its denominators, never cut."""
+    tree = _chain([-2, -3, -2])
+    rhs = [Fraction(1, 2), Fraction(-2, 3), 5]
+    x = eliminate(tree, rhs).solution
+    assert x == solve_exact(intersection_matrix(tree), rhs)
+    assert x == [Fraction(-37, 48), Fraction(-25, 24), Fraction(-145, 48)]
+
+
+def test_leaves_stripped_into_a_cycle():
+    """Leaves 4, 5 and 6 are stripped into 1 and 2, which then lie on the
+    triangle 1, 2, 3: the denominators 9 and -2 they leave there are part
+    of the determinant."""
+    tree = PlumbingTree(
+        tuple(Vertex(i, w) for i, w in ((1, -4), (2, -4), (3, -4), (4, -3), (5, -3), (6, -2))),
+        (Edge(1, 2), Edge(2, 3), Edge(3, 1), Edge(1, 4), Edge(1, 5), Edge(2, 6)))
+    form = eliminate(tree)
+    assert (form.determinant, form.negative_definite) == (609, True)
+    _check_against_dense_reference(tree, [1, -2, 3, 0, 5, -1])
+
+
+def test_two_component_forest():
+    tree = PlumbingTree(
+        tuple(Vertex(i, w) for i, w in ((1, -2), (2, -2), (3, -3), (4, -2), (5, -2), (6, -5))),
+        (Edge(1, 2), Edge(3, 4), Edge(3, 5), Edge(3, 6)))
+    form = eliminate(tree)
+    assert (form.determinant, form.negative_definite) == (3 * 36, True)
+    _check_against_dense_reference(tree, [1, 0, 2, 0, -1, 1])
+
+
+def test_zero_pivot_in_mid_chain_goes_to_the_loop():
+    """Stripping the -2 leaves 4 and 5 drives the pivot of 1 to 0/4 while 1
+    lies inside the chain 0 - 1 - 2 - 3, whose ends weigh 0: all four go to
+    the least-degree loop, and 1's denominator 4 is part of the determinant."""
+    tree = PlumbingTree(
+        tuple(Vertex(i, w) for i, w in ((0, 0), (1, -1), (2, -2), (3, 0), (4, -2), (5, -2))),
+        (Edge(0, 1), Edge(1, 2), Edge(2, 3), Edge(1, 4), Edge(1, 5)))
+    form = eliminate(tree, [1, 2, 3, 4, 5, 6])
+    assert (form.determinant, form.negative_definite) == (4, False)
+    assert form.solution == [Fraction(7, 2), 1, 4, 10, -2, Fraction(-5, 2)]
+    _check_against_dense_reference(tree, [1, 2, 3, 4, 5, 6])
+
+
+@pytest.mark.parametrize("rhs", [[1, 2, 3, 4], [1, 2]], ids=["long", "short"])
+def test_rhs_of_the_wrong_length_is_rejected(rhs):
+    with pytest.raises(ValueError, match=f"rhs has {len(rhs)} entries for a form of 3 vertices"):
+        eliminate(_chain([-2, -2, -2]), rhs)
+
+
+def test_random_3000_vertex_tree_canonical_class():
+    """A*K = d on a seeded random tree whose determinant has 1551 digits,
+    checked row by row on the tree's edges."""
+    rnd = random.Random(3000)
+    tree = PlumbingTree(tuple(Vertex(i, -rnd.randint(2, 6)) for i in range(1, 3001)),
+                        tuple(Edge(rnd.randint(1, i - 1), i) for i in range(2, 3001)))
+    d = [-v.weight - 2 for v in tree.vertices]
+    form = eliminate(tree, d)
+    assert form.determinant == eliminate(tree).determinant
+    assert len(str(abs(form.determinant))) == 1551
+    row = {v.id: v.weight * k for v, k in zip(tree.vertices, form.solution)}
+    K = dict(zip(tree.ids, form.solution))
+    for e in tree.edges:
+        row[e.u] += K[e.v]
+        row[e.v] += K[e.u]
+    assert list(row.values()) == d
