@@ -20,10 +20,10 @@ and all stripped into it, and den_v the product of those of its stripped
 neighbours (on a chain, Hirzebruch-Jung continuants): nothing outgrows the
 determinant, which is the product of num over the vertices stripped last
 in their component, of den over the vertices left, and of the loop's
-pivots.  The loop works on pairs of ints ``(numerator, denominator)``,
-kept reduced by ``math.gcd``, and so does the back-substitution; only the
-returned solution is made of ``Fraction``s.  A rational right-hand side is
-scaled to ints by the lcm of its denominators.  No floating point.
+pivots.  The loop, which few forms reach, works on ``Fraction``s and only
+its edge counts stay ints; its solution enters the leaves' integer
+back-substitution as (numerator, denominator).  A rational right-hand side
+is scaled to ints by the lcm of its denominators.  No floating point.
 """
 
 from __future__ import annotations
@@ -57,12 +57,12 @@ def eliminate(graph, rhs=None) -> Elimination:
     n = len(index)
     if rhs is not None and len(rhs) != n:
         raise ValueError(f"rhs has {len(rhs)} entries for a form of {n} vertices")
-    off: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
+    off: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
     for e in graph.edges:
         u, v = index[e.u], index[e.v]
-        x = off[u][v][0] + e.sign if v in off[u] else e.sign
+        x = off[u].get(v, 0) + e.sign
         if x:
-            off[u][v] = off[v][u] = (x, 1)
+            off[u][v] = off[v][u] = x
         else:
             del off[u][v], off[v][u]
     # Leaf pass on ints (module docstring), the rhs scaled by ``scale``.
@@ -82,7 +82,7 @@ def eliminate(graph, rhs=None) -> Elimination:
         definite = definite and (d < 0) != (den[v] < 0)
         if not row:
             det *= d
-        for k, (x, _) in row.items():
+        for k, x in row.items():
             del off[k][v]
             e = den[k]
             num[k] = num[k] * d - x * x * den[v] * e
@@ -92,15 +92,14 @@ def eliminate(graph, rhs=None) -> Elimination:
             if len(off[k]) < 2:
                 stack.append(k)
         leaves.append(v)
-    # The vertices left enter det by their den, and the loop as reduced pairs.
-    diag, b = [None] * n, [(0, 1)] * n
+    # The vertices left enter det by their den, and the loop as Fractions.
+    diag, b = [None] * n, [0] * n
     for k in (range(n) if remaining else ()):
         if alive[k]:
             det *= den[k]
-            diag[k] = _pair(num[k], den[k])
+            diag[k] = Fraction(num[k], den[k])
             if bn is not None:
-                b[k] = _pair(bn[k], den[k])
-    det = (det, 1)
+                b[k] = Fraction(bn[k], den[k])
     heap = [(len(off[i]), i) for i in range(n) if alive[i]]
     heapq.heapify(heap)
     # A vertex the 2x2 search passes over is dead, or has no off-diagonal
@@ -111,10 +110,10 @@ def eliminate(graph, rhs=None) -> Elimination:
     while remaining:
         while heap:
             degree, v = heapq.heappop(heap)
-            if alive[v] and degree == len(off[v]) and diag[v][0]:
-                block, inverse = (v,), {(v, v): _inverse(diag[v])}
-                det = _mul(det, diag[v])
-                definite = definite and diag[v][0] < 0
+            if alive[v] and degree == len(off[v]) and diag[v]:
+                block, inverse = (v,), {(v, v): 1 / diag[v]}
+                det *= diag[v]
+                definite = definite and diag[v] < 0
                 break
         else:
             while cursor < n and not (alive[cursor] and off[cursor]):
@@ -126,8 +125,8 @@ def eliminate(graph, rhs=None) -> Elimination:
             v = cursor
             w = min(off[v])
             c = off[v][w]
-            block, inverse = (v, w), {(v, w): _inverse(c), (w, v): _inverse(c)}
-            det = _mul(det, _mul(c, (-c[0], c[1])))
+            block, inverse = (v, w), {(v, w): Fraction(1, c), (w, v): Fraction(1, c)}
+            det *= -c * c
             definite = False
         couplings = {s: {k: x for k, x in off[s].items() if k not in block} for s in block}
         for s in block:
@@ -137,90 +136,42 @@ def eliminate(graph, rhs=None) -> Elimination:
         # Schur complement: a_kl -= sum over s, t of a_ks (block^-1)_st a_tl
         for (s, t), p in inverse.items():
             for k, x in couplings[s].items():
-                f = _mul(x, p)
-                f = (-f[0], f[1])
-                if b[t][0]:
-                    b[k] = _add(b[k], _mul(f, b[t]))
+                f = -x * p
+                if b[t]:
+                    b[k] += f * b[t]
                 for l, y in couplings[t].items():
                     if k == l:
-                        diag[k] = _add(diag[k], _mul(f, y))
+                        diag[k] += f * y
+                    elif total := off[k].get(l, 0) + f * y:
+                        off[k][l] = total
                     else:
-                        _accumulate(off[k], l, _mul(f, y))
+                        del off[k][l]
         for k in set().union(*couplings.values()):
             heapq.heappush(heap, (len(off[k]), k))
         if rhs is not None:
             steps.append((block, inverse, couplings))
         remaining -= len(block)
     if rhs is None:
-        return Elimination(det[0], definite, None)
-    x = [(0, 1)] * n
+        return Elimination(int(det), definite, None)
+    x = [0] * n
     for block, inverse, couplings in reversed(steps):
-        residual = {}
-        for t in block:
-            r = b[t]
-            for k, y in couplings[t].items():
-                u = _mul(y, x[k])
-                r = _add(r, (-u[0], u[1]))
-            residual[t] = r
+        residual = {t: b[t] - sum(y * x[k] for k, y in couplings[t].items()) for t in block}
         for (s, t), p in inverse.items():
-            x[s] = _add(x[s], _mul(p, residual[t]))
+            x[s] += p * residual[t]
+    for block, _, _ in steps:
+        for s in block:
+            x[s] = x[s].numerator, x[s].denominator
     # x_v = (bn[v] - y * den[v] * x_k) / num[v] for v's one neighbour k,
     # with y = 0 and x_k = 0 when it had none; the pair comes out reduced.
     for v in reversed(leaves):
         d, e = num[v], den[v]
         y, p, q = 0, 0, 1
-        for k, (y, _) in off[v].items():
+        for k, y in off[v].items():
             p, q = x[k]
         g = gcd(y * e, q)
         q //= g
         top = bn[v] * q - y * e // g * p
         g = gcd(top, d) if d > 0 else -gcd(top, d)
         x[v] = top // g, d // g * q
-    return Elimination(det[0], definite, [Fraction(p, q * scale) if q * scale != 1
-                                          else Fraction(p) for p, q in x])
-
-
-def _mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The reduced product of two reduced pairs."""
-    (an, ad), (bn, bd) = a, b
-    if ad == 1 and bd == 1:
-        return an * bn, 1
-    g1, g2 = gcd(an, bd), gcd(bn, ad)
-    return (an // g1) * (bn // g2), (ad // g2) * (bd // g1)
-
-
-def _add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    """The reduced sum of two reduced pairs."""
-    (an, ad), (bn, bd) = a, b
-    if ad == 1 and bd == 1:
-        return an + bn, 1
-    g = gcd(ad, bd)
-    if g == 1:
-        return an * bd + bn * ad, ad * bd
-    s = ad // g
-    num = an * (bd // g) + bn * s
-    g2 = gcd(num, g)
-    return num // g2, s * (bd // g2)
-
-
-def _pair(num: int, den: int) -> tuple[int, int]:
-    """num/den as a reduced pair with a positive denominator."""
-    if den == 1:
-        return num, 1
-    g = gcd(num, den) if den > 0 else -gcd(num, den)
-    return num // g, den // g
-
-
-def _inverse(a: tuple[int, int]) -> tuple[int, int]:
-    """The reciprocal of a nonzero reduced pair, its denominator kept positive."""
-    num, den = a
-    return (den, num) if num > 0 else (-den, -num)
-
-
-def _accumulate(row: dict, j: int, value: tuple[int, int]) -> None:
-    """Add to one off-diagonal entry, dropping it when it cancels to zero."""
-    total = _add(row[j], value) if j in row else value
-    if total[0]:
-        row[j] = total
-    else:
-        del row[j]
+    return Elimination(int(det), definite, [Fraction(p, q * scale) if q * scale != 1
+                                            else Fraction(p) for p, q in x])

@@ -57,10 +57,13 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     if r < 1:
         raise InputError(f"power must be >= 1, got {r}")
 
+    # n - n_i per incidence: m/lam, so n_i, agrees at both ends of an edge.
     order = {v.id: v.order for v in n.vertices}
     components = dict.fromkeys(order, 0)
+    branch_deficits = dict.fromkeys(order, 0)
     for vid, lam, _ in n.incidences():
         components[vid] = gcd(components[vid], order[vid] // lam)
+        branch_deficits[vid] += gcd(order[vid], r) - gcd(order[vid] // lam, r)
     next_id = max(order, default=0) + 1
     copies_of: dict[int, list[int]] = {}
     for vid, d in components.items():
@@ -71,12 +74,9 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     # The j-th lift of an incidence goes to copy j mod c of its vertex.  c
     # divides the lift count, so the lifts are a block of one lift per
     # copy, repeated; an edge's block has lcm(c_u, c_v) lifts.
-    branch_deficits: dict[int, int] = {v.id: 0 for v in n.vertices}
-
     stalks = []
     for s in n.stalks:
         copies, lam, sigma = _lift_valency(order[s.vertex], r, s.lam, s.sigma)
-        branch_deficits[s.vertex] += gcd(order[s.vertex], r) - copies
         if lam > 1:
             ids = copies_of[s.vertex]
             stalks.extend([Stalk(vid, lam, sigma) for vid in ids] * (copies // len(ids)))
@@ -84,7 +84,6 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     boundary = []
     for b in n.boundary_stalks:
         copies, lam, sigma = _lift_valency(order[b.vertex], r, b.lam, b.sigma)
-        branch_deficits[b.vertex] += gcd(order[b.vertex], r) - copies
         ids = copies_of[b.vertex]
         boundary.extend([BoundaryStalk(vid, lam, sigma, r * b.twist) for vid in ids]
                         * (copies // len(ids)))
@@ -93,8 +92,6 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     for e in n.edges:
         copies, lam_u, sigma_u = _lift_valency(order[e.u], r, e.lam_u, e.sigma_u)
         _, lam_v, sigma_v = _lift_valency(order[e.v], r, e.lam_v, e.sigma_v)
-        branch_deficits[e.u] += gcd(order[e.u], r) - copies
-        branch_deficits[e.v] += gcd(order[e.v], r) - copies
         us, vs = copies_of[e.u], copies_of[e.v]
         period = lcm(len(us), len(vs))
         edges.extend([NielsenEdge(us[j % len(us)], vs[j % len(vs)], r * e.twist,

@@ -80,17 +80,28 @@ def _int(name: str, token: str) -> int:
         raise InputError(f"{name} must be an integer, got {excerpt(token)}") from None
 
 
+def _key_values(kind: str, items, names):
+    """Yield the (key, value) of each key=value item, every key one of
+    ``names`` and given at most once."""
+    seen = set()
+    for item in items:
+        if "=" not in item:
+            raise InputError(f"expected key=value, got {excerpt(item)}")
+        key, value = item.split("=", 1)
+        if key not in names:
+            raise InputError(f"unknown {kind} field {excerpt(key)}")
+        if key in seen:
+            raise InputError(f"duplicate field {key!r}")
+        seen.add(key)
+        yield key, value
+
+
 def _parse_vertex(args) -> ResVertex:
     if not args:
         raise InputError("vertex needs an id")
     vid = _int("vertex id", args[0])
     fields = {"weight": None, "genus": 0, "mf": None, "mg": None}
-    for item in args[1:]:
-        if "=" not in item:
-            raise InputError(f"expected key=value, got {excerpt(item)}")
-        key, value = item.split("=", 1)
-        if key not in fields:
-            raise InputError(f"unknown vertex field {excerpt(key)}")
+    for key, value in _key_values("vertex", args[1:], fields):
         fields[key] = _int(f"field {key!r}", value)
     if fields["weight"] is None:
         raise InputError(f"vertex {vid} is missing weight=")
@@ -101,18 +112,12 @@ def _parse_arrow(args) -> ResArrow:
     if not args:
         raise InputError("arrow needs a vertex id")
     vid = _int("arrow id", args[0])
-    side = None
-    mult = None
-    for item in args[1:]:
-        if "=" not in item:
-            raise InputError(f"expected key=value, got {excerpt(item)}")
-        key, value = item.split("=", 1)
+    side = mult = None
+    for key, value in _key_values("arrow", args[1:], ("side", "mult")):
         if key == "side":
             side = value
-        elif key == "mult":
-            mult = _int("field 'mult'", value)
         else:
-            raise InputError(f"unknown arrow field {excerpt(key)}")
+            mult = _int("field 'mult'", value)
     if side not in ("f", "g"):
         raise InputError("arrow needs side=f or side=g")
     want = 1 if side == "f" else -1

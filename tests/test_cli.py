@@ -99,6 +99,21 @@ def test_error_exit_code_and_stage(tmp_path, capsys):
     assert err.count("(elements: 1)") == 1
 
 
+@pytest.mark.parametrize("line,number,message", [
+    ("vertex 3 weight=-3 weight=-1", 3, "duplicate field 'weight'"),
+    ("arrow 2 side=g side=f", 6, "duplicate field 'side'"),
+], ids=["vertex", "arrow"])
+def test_repeated_field_is_a_parse_error(tmp_path, capsys, line, number, message):
+    """cusp.txt with one line given a repeated field fails in parsing
+    instead of running with the last value."""
+    lines = [l for l in read_input("cusp.txt").splitlines() if not l.startswith("#")]
+    lines[number - 1] = line
+    path = tmp_path / "repeated.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "pipeline", str(path), "-r", "5")
+    assert (code, out, err) == (1, "", f"error [parse] line {number}: {message}\n")
+
+
 def test_missing_input_file_is_an_os_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "pipeline", str(tmp_path / "absent.txt"))
     assert code == 1

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from dense_linalg import determinant, is_negative_definite, leading_minors, solv
 from susplink.errors import MonodromyError
 from susplink.exactlinalg import eliminate
 from susplink.graphs import Edge, PlumbingTree, Vertex, intersection_matrix
-from susplink.invariants import canonical_class
+from susplink.invariants import canonical_class, form_invariants
 
 
 def laplace_det(m):
@@ -281,6 +282,16 @@ def test_rhs_of_the_wrong_length_is_rejected(rhs):
         eliminate(_chain([-2, -2, -2]), rhs)
 
 
+def _apply_form(tree, x):
+    """form @ x, summed over the tree's edges."""
+    row = {v.id: v.weight * k for v, k in zip(tree.vertices, x)}
+    value = dict(zip(tree.ids, x))
+    for e in tree.edges:
+        row[e.u] += e.sign * value[e.v]
+        row[e.v] += e.sign * value[e.u]
+    return list(row.values())
+
+
 def test_random_3000_vertex_tree_canonical_class():
     """A*K = d on a seeded random tree whose determinant has 1551 digits,
     checked row by row on the tree's edges."""
@@ -291,9 +302,51 @@ def test_random_3000_vertex_tree_canonical_class():
     form = eliminate(tree, d)
     assert form.determinant == eliminate(tree).determinant
     assert len(str(abs(form.determinant))) == 1551
-    row = {v.id: v.weight * k for v, k in zip(tree.vertices, form.solution)}
-    K = dict(zip(tree.ids, form.solution))
-    for e in tree.edges:
-        row[e.u] += K[e.v]
-        row[e.v] += K[e.u]
-    assert list(row.values()) == d
+    assert _apply_form(tree, form.solution) == d
+
+
+def _cycle(weights, counts=None):
+    """The cycle 1 - 2 - ... - n - 1, the edge from i to i + 1 (n to 1 last)
+    taken counts[i - 1] times."""
+    n = len(weights)
+    counts = counts or [1] * n
+    return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights, 1)),
+                        tuple(Edge(i, i % n + 1) for i in range(1, n + 1)
+                              for _ in range(counts[i - 1])))
+
+
+def _cycle_det(weights, counts):
+    """Independent oracle: the determinant of a periodic Jacobi matrix is the
+    trace of the product of its transfer matrices [[a_i, -b_(i-1)^2], [1, 0]]
+    minus 2 * (-b_1)...(-b_n)."""
+    (p, q), (r, s) = (1, 0), (0, 1)
+    for a, b in zip(weights, counts[-1:] + counts[:-1]):
+        (p, q), (r, s) = (a * p - b * b * r, a * q - b * b * s), (p, q)
+    return p + s - 2 * prod(-b for b in counts)
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_minus_two_cycle_at_size(n):
+    """A cycle has no leaf, so every vertex goes through the least-degree
+    loop, filling in rationally.  With one -3 and the rest -2 the form is
+    minus the cycle Laplacian plus e_1 e_1^T, whose determinant is the
+    Laplacian's (1, 1) cofactor n, up to the sign (-1)^n."""
+    tree = _cycle([-3] + [-2] * (n - 1))
+    inv = form_invariants(tree)
+    assert inv["determinant"] == (-1) ** n * n == _cycle_det([-3] + [-2] * (n - 1), [1] * n)
+    assert inv["negative_definite"] and inv["numerically_gorenstein"]
+    assert inv["K_squared"] == -1
+    assert _apply_form(tree, inv["K"]) == [1] + [0] * (n - 1)
+
+
+@pytest.mark.parametrize("n", [2001, 2002])
+def test_zero_weight_cycle_at_size(n):
+    """Zero weights and edge counts 2, 1, 2, ... leave the loop only 2x2
+    blocks (1000 and 1001 of them), with rational fill-in between them."""
+    weights, counts = [0] * n, [2, 1] * (n // 2) + [2] * (n % 2)
+    tree = _cycle(weights, counts)
+    rhs = list(range(1, n + 1))
+    form = eliminate(tree, rhs)
+    assert form.determinant == eliminate(tree).determinant == _cycle_det(weights, counts) != 0
+    assert not form.negative_definite
+    assert _apply_form(tree, form.solution) == rhs

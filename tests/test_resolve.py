@@ -61,6 +61,20 @@ def test_parse_errors_quote_a_short_prefix(text, start):
     assert message.startswith(start) and len(message) < 200
 
 
+@pytest.mark.parametrize("text,message", [
+    ("vertex 1 weight=-2 weight=-1\n", "line 1: duplicate field 'weight'"),
+    ("vertex 1 weight=-2 genus=0 mf=1 genus=1\n", "line 1: duplicate field 'genus'"),
+    ("vertex 1 weight=-1\narrow 1 side=g side=f\n", "line 2: duplicate field 'side'"),
+    ("vertex 1 weight=-1\narrow 1 side=f mult=1 mult=1\n", "line 2: duplicate field 'mult'"),
+], ids=["weight", "genus", "side", "mult"])
+def test_parse_rejects_a_repeated_field(text, message):
+    """A key given twice on one line is an error, not overwritten by the last
+    value, even when both values agree."""
+    with pytest.raises(InputError) as info:
+        parse_resolution(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("name", ["ex1.txt", "ex2.txt", "ex3.txt", "cusp.txt"])
 def test_parse_any_whitespace_and_trailing_comments(name):
     """Tabs, runs of spaces and trailing comments give the same graph."""
