@@ -29,15 +29,14 @@ is scaled to ints by the lcm of its denominators.  No floating point.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import MonodromyError
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     determinant: int
     negative_definite: bool
     solution: list[Fraction] | None  # in the order of the graph's vertices

@@ -8,7 +8,9 @@ Five graph flavours move through the pipeline:
 * ``WaldhausenGraph``   -- Seifert pieces with gluing triplets,
 * ``PlumbingTree``      -- weighted plumbing graph with intersection matrix.
 
-All types are immutable value objects; passes are pure functions.  Vertex ids
+All types are immutable value objects; passes are pure functions.  Graph
+elements are ``NamedTuple`` records; the five graphs are frozen dataclasses
+that validate their elements on construction.  Vertex ids
 are the small integers assigned at parse time and are preserved through the
 passes wherever a vertex survives, so reports can be matched against input
 figures vertex by vertex.
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .errors import BalanceError, InputError, NotATreeError, UnsupportedError, excerpt
 
@@ -59,8 +62,7 @@ __all__ = [
 # Plumbing trees
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     id: int
     weight: int
     genus: int = 0
@@ -69,15 +71,13 @@ class Vertex:
     origin: str = ""
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     u: int
     v: int
     sign: int = 1
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     vertex: int
     mult: int = 1
     label: str = ""
@@ -216,8 +216,7 @@ def unbalanced(graph, mults) -> tuple[int, ...]:
 # Resolution input
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResVertex:
+class ResVertex(NamedTuple):
     id: int
     weight: int
     genus: int = 0
@@ -225,8 +224,7 @@ class ResVertex:
     mg: int | None = None
 
 
-@dataclass(frozen=True)
-class ResArrow:
+class ResArrow(NamedTuple):
     vertex: int
     side: str  # "f" or "g"
     mult: int  # +1 for side f, -1 for side g after ingestion
@@ -272,8 +270,7 @@ class ResolutionGraph:
 # Orientation-normalized multiplicity tree
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MultVertex:
+class MultVertex(NamedTuple):
     id: int
     weight: int
     genus: int
@@ -343,31 +340,27 @@ def symmetric_rep(sigma: int, lam: int) -> int:
     return s - lam if s > lam - s else s
 
 
-@dataclass(frozen=True)
-class NielsenVertex:
+class NielsenVertex(NamedTuple):
     id: int
     order: int
     genus: int
     q: int = 1
 
 
-@dataclass(frozen=True)
-class Stalk:
+class Stalk(NamedTuple):
     vertex: int
     lam: int
     sigma: int
 
 
-@dataclass(frozen=True)
-class BoundaryStalk:
+class BoundaryStalk(NamedTuple):
     vertex: int
     lam: int
     sigma: int
     twist: Fraction
 
 
-@dataclass(frozen=True)
-class NielsenEdge:
+class NielsenEdge(NamedTuple):
     u: int
     v: int
     twist: Fraction
@@ -454,8 +447,7 @@ class NielsenGraph:
 # Waldhausen graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WaldVertex:
+class WaldVertex(NamedTuple):
     id: int
     e: int
     genus: int
@@ -463,23 +455,20 @@ class WaldVertex:
     order: int = 1  # multiplicity of the open book on this Seifert piece
 
 
-@dataclass(frozen=True)
-class WaldStalk:
+class WaldStalk(NamedTuple):
     vertex: int
     alpha: int
     beta: int  # 1 <= beta < alpha
 
 
-@dataclass(frozen=True)
-class WaldArrow:
+class WaldArrow(NamedTuple):
     vertex: int
     alpha: int
     beta: int  # 0 <= beta < alpha
     reversed: bool = False  # binding oriented against the fibres of its piece
 
 
-@dataclass(frozen=True)
-class WaldEdge:
+class WaldEdge(NamedTuple):
     u: int
     v: int
     eps: int

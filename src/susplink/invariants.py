@@ -12,9 +12,9 @@ complex singularity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import MonodromyError, PlumbingError
 from .exactlinalg import Elimination, eliminate
@@ -78,8 +78,7 @@ def chi_resolution(tree: PlumbingTree) -> int:
     return sum(2 - 2 * v.genus for v in tree.vertices) - len(tree.edges)
 
 
-@dataclass(frozen=True)
-class FibreData:
+class FibreData(NamedTuple):
     chi: int
     genus: int
     boundary: int
@@ -117,8 +116,7 @@ def wedge_count(chi_fibre: int, r: int) -> int:
     return (r - 1) * (1 - chi_fibre)
 
 
-@dataclass(frozen=True)
-class LauferSteenbrink:
+class LauferSteenbrink(NamedTuple):
     applicable: bool
     left: int | None      # chi of the suspension fibre, mod 12 in [0, 12)
     right: int | None     # chi(resolution) + K^2, mod 12 in [0, 12)
@@ -163,8 +161,7 @@ def form_invariants(tree: PlumbingTree) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     K: tuple[Fraction, ...]
     K_squared: Fraction
     numerically_gorenstein: bool

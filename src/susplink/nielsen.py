@@ -16,9 +16,9 @@ throughout, and a sign flip across the chain makes the twist positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .contfrac import cf_dual, neg_cf_eval
 from .errors import ChainDataError, UnsupportedError, excerpt
@@ -36,8 +36,7 @@ __all__ = ["StalkChain", "EdgeChain", "Decomposition", "decompose",
            "build_nielsen"]
 
 
-@dataclass(frozen=True)
-class StalkChain:
+class StalkChain(NamedTuple):
     node: int
     vertices: tuple[int, ...]  # ordered from the node outwards, leaf last
 
@@ -46,8 +45,7 @@ class StalkChain:
         return (self.node, *self.vertices)
 
 
-@dataclass(frozen=True)
-class EdgeChain:
+class EdgeChain(NamedTuple):
     node_u: int
     node_v: int
     vertices: tuple[int, ...]  # interior vertices ordered from node_u, may be empty
@@ -58,8 +56,7 @@ class EdgeChain:
         return (self.node_u, *self.vertices, self.node_v)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     nodes: tuple[int, ...]
     stalk_chains: tuple[StalkChain, ...]
     edge_chains: tuple[EdgeChain, ...]

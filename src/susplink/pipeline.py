@@ -9,7 +9,7 @@ pipeline result exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PlumbingError
 from .graphs import (
@@ -39,8 +39,7 @@ class StageError(PlumbingError):
         self.cause = cause
 
 
-@dataclass(frozen=True)
-class PipelineResult:
+class PipelineResult(NamedTuple):
     resolution: ResolutionGraph
     r: int
     side: str

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import MISSING, fields
 from fractions import Fraction
 from functools import cache
+from typing import get_type_hints
 
 from .errors import InputError, excerpt
 from .graphs import (
@@ -66,26 +66,28 @@ def frac_str(x) -> str:
 # to dict
 # ---------------------------------------------------------------------------
 
-_FRACTION_WRITERS = {"Fraction": frac_str,
-                     "tuple[Fraction, ...]": lambda xs: [frac_str(x) for x in xs]}
+_FRACTION_WRITERS = {Fraction: frac_str,
+                     tuple[Fraction, ...]: lambda xs: [frac_str(x) for x in xs]}
 
 
 @cache
 def _layout(cls) -> tuple[tuple, tuple]:
     """The fields of ``cls`` left out while they hold their None, False or
     "" default, and its fraction fields with their writers."""
-    return (tuple((f.name, f.default) for f in fields(cls)
-                  if f.default is None or f.default is False or f.default == ""),
-            tuple((f.name, _FRACTION_WRITERS[f.type]) for f in fields(cls)
-                  if f.type in _FRACTION_WRITERS))
+    hints = get_type_hints(cls)
+    return (tuple((name, d) for name, d in cls._field_defaults.items()
+                  if d is None or d is False or d == ""),
+            tuple((name, _FRACTION_WRITERS[hints[name]]) for name in cls._fields
+                  if hints[name] in _FRACTION_WRITERS))
 
 
 def element_dicts(cls, items) -> list[dict]:
-    """Each of ``items``, all of dataclass ``cls``, as a JSON object: fields
-    in dataclass order, fractions through frac_str, and a field left out
-    while it holds its None, False or "" default."""
+    """Each of ``items``, all of record type ``cls``, as a JSON object:
+    fields in record order, fractions through frac_str, and a field left
+    out while it holds its None, False or "" default."""
     omitted, fractions = _layout(cls)
-    out = [vars(x).copy() for x in items]
+    names = cls._fields
+    out = [dict(zip(names, x)) for x in items]
     if omitted or fractions:
         for d in out:
             for name, default in omitted:
@@ -115,24 +117,25 @@ def to_json(graph) -> str:
 # from dict
 # ---------------------------------------------------------------------------
 
-_JSON_TYPES = {"int": (int,), "int | None": (int, type(None)), "bool": (bool,),
-               "str": (str,)}
+_JSON_TYPES = {int: (int,), int | None: (int, type(None)), bool: (bool,), str: (str,)}
 # rationals exactly as frac_str writes them
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-# Defaults for fields without a dataclass default: a document may leave out
+# Defaults for fields without a record default: a document may leave out
 # genus and flipped, and a resolution arrow's mult follows from its side.
 _READ_DEFAULTS = {"genus": 0, "flipped": False,
                   "mult": lambda item: 1 if item.get("side") == "f" else -1}
+_MISSING = object()  # the read default of a required field
 
 
 @cache
 def _spec(cls) -> tuple:
-    """Per field of ``cls``: name, read default (MISSING when required),
+    """Per field of ``cls``: name, read default (_MISSING when required),
     type, and the JSON types read as they are."""
-    return tuple((f.name, _READ_DEFAULTS.get(f.name, MISSING) if f.default is MISSING
-                  else f.default, f.type, _JSON_TYPES.get(f.type, ())) for f in fields(cls))
+    hints, defaults = get_type_hints(cls), cls._field_defaults
+    return tuple((name, defaults.get(name, _READ_DEFAULTS.get(name, _MISSING)), hints[name],
+                  _JSON_TYPES.get(hints[name], ())) for name in cls._fields)
 
 
 def _fraction(value) -> Fraction | None:
@@ -146,8 +149,9 @@ def _fraction(value) -> Fraction | None:
 
 def _list(data: dict, key: str, cls, required: bool) -> tuple:
     """List ``key`` of ``data``: [u, v] pairs when ``cls`` is None, else
-    ``cls`` elements from JSON objects keyed by its fields.  InputError when
-    a field without default is missing or holds a value of another type."""
+    ``cls`` elements from JSON objects keyed by its fields.  InputError on
+    a key that is not a field, and when a field without default is missing
+    or holds a value of another type."""
     items = data.get(key, None if required else [])
     if cls is None:
         if not isinstance(items, list) or not all(
@@ -158,18 +162,23 @@ def _list(data: dict, key: str, cls, required: bool) -> tuple:
     if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
         raise InputError(f"field {key!r} must be a list of objects")
     spec = _spec(cls)
+    names = frozenset(cls._fields)
     elements = []
     for i, item in enumerate(items):
+        if not item.keys() <= names:
+            unknown = next(name for name in item if name not in names)
+            raise InputError(f"unknown field {excerpt(unknown)} in {key}[{i}]")
         values = []
         for name, default, kind, types in spec:
             value = item.get(name, default)
             if type(value) not in types:
-                if value is MISSING:
+                if value is _MISSING:
                     raise InputError(f"missing field {name!r} in {key}[{i}]")
                 if callable(value):
                     value = value(item)
-                elif kind != "Fraction":
-                    raise InputError(f"field {name!r} must be {kind} in {key}[{i}]")
+                elif kind is not Fraction:
+                    raise InputError(f"field {name!r} must be "
+                                     f"{getattr(kind, '__name__', kind)} in {key}[{i}]")
                 elif (value := _fraction(value)) is None:
                     raise InputError(f"field {name!r} must be a fraction n or n/d in {key}[{i}]")
             values.append(value)
@@ -183,6 +192,9 @@ def from_dict(data: dict):
     schema = data.get("schema")
     for graph_cls, (tag, required, lists) in _DOCUMENTS.items():
         if tag == schema:
+            for key in data:
+                if key != "schema" and key not in lists:
+                    raise InputError(f"unknown field {excerpt(key)} in the document")
             return graph_cls(**{key: _list(data, key, cls, key in required)
                                 for key, cls in lists.items()})
     raise InputError(f"unknown or missing schema {excerpt(schema)}")

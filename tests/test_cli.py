@@ -234,6 +234,23 @@ def test_q_gt_1_nielsen_document_fails_in_the_reading_stage(tmp_path, capsys, co
                    "are not supported (elements: 1)\n")
 
 
+@pytest.mark.parametrize("doc,field", [
+    ({"vertices": [{"id": 1, "weight": -2, "genu": 1}, {"id": 2, "weight": -2}],
+      "edges": [{"u": 1, "v": 2, "sing": -1}]}, "'genu' in vertices[0]"),
+    ({"vertices": [{"id": 1, "weight": -2}, {"id": 2, "weight": -2}],
+      "edges": [{"u": 1, "v": 2, "sing": -1}]}, "'sing' in edges[0]"),
+    ({"vertices": [{"id": 1, "weight": -2}], "edges": [],
+      "arrowz": [{"vertex": 1}]}, "'arrowz' in the document"),
+], ids=["genu", "sing", "arrowz"])
+def test_unknown_field_in_a_stage_document_is_rejected(tmp_path, capsys, doc, field):
+    """A misspelt field reads as an error, not as its default: genus 0,
+    sign +1 or no arrows."""
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps({"schema": "susplink/plumbing:1", **doc}), encoding="utf-8")
+    assert run_cli(capsys, "invariants", str(path)) == (
+        1, "", f"error [invariants] unknown field {field}\n")
+
+
 @pytest.mark.parametrize("command,function,source,argv", [
     ("step1", "subtract_and_normalize", None, []),
     ("nielsen", "build_nielsen", "mp.json", []),

@@ -1,6 +1,6 @@
 import json
-from dataclasses import fields
 from fractions import Fraction
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,6 +142,33 @@ def test_document_errors_stay_short(doc, start):
     assert message.startswith(start) and len(message) < 200
 
 
+_PLUMBING = {"schema": "susplink/plumbing:1",
+             "vertices": [{"id": 1, "weight": -2}, {"id": 2, "weight": -2}],
+             "edges": [{"u": 1, "v": 2}]}
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({**_PLUMBING, "vertices": [{"id": 1, "weight": -2, "genu": 1}, {"id": 2, "weight": -2}]},
+     "unknown field 'genu' in vertices[0]"),
+    ({**_PLUMBING, "edges": [{"u": 1, "v": 2, "sing": -1}]}, "unknown field 'sing' in edges[0]"),
+    ({**_PLUMBING, "arrows": [{"vertex": 1}, {"vertex": 2, "side": "f"}]},
+     "unknown field 'side' in arrows[1]"),
+    ({**_PLUMBING, "arrowz": [{"vertex": 1}]}, "unknown field 'arrowz' in the document"),
+    ({"schema": "susplink/multiplicity:1",
+      "vertices": [{"id": 1, "weight": -1, "m": 1, "flipped": False}], "edges": [],
+      "arrowz": [{"vertex": 1, "mult": 1}]}, "unknown field 'arrowz' in the document"),
+    ({"schema": "susplink/nielsen:1", "vertices": [{"id": 1, "order": 2}],
+      "boundary_stalks": [{"vertex": 1, "lam": 2, "sigma": 1, "twist": "1/2", "x" * 10**6: 1}]},
+     "unknown field 'xxx"),
+], ids=["vertex", "edge", "arrow", "list", "multiplicity_list", "long_key"])
+def test_unknown_keys_are_rejected(doc, message):
+    """A key that is not a field of its record type, or not a list of the
+    document, is an error, as an unknown field of an input line is."""
+    with pytest.raises(InputError) as info:
+        from_json(json.dumps(doc))
+    assert str(info.value).startswith(message) and len(str(info.value)) < 200
+
+
 @pytest.mark.parametrize("twist", ["1e-3", "0.5", 0.5, "1/0", " 1", "+1", "1/-2", True, "\u0663"])
 def test_fraction_fields_take_only_n_or_n_over_d(twist):
     """A rational field reads an int or a string as frac_str writes it,
@@ -184,16 +211,16 @@ _SCALARS = st.one_of(
     st.sampled_from(["", "f", "g", "h", "binding", "1/2", "-31/30", "1/0", "1e-3", "0.5", "x"]),
 )
 _VALUES = st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
-_TYPED = {"int": st.integers(-2, 3), "int | None": st.one_of(st.none(), st.integers(-2, 3)),
-          "bool": st.booleans(), "str": st.sampled_from(["f", "g", "", "binding"]),
-          "Fraction": st.sampled_from([1, -2, "1/2", "-1/2", "31/30", "-1/10"])}
+_TYPED = {int: st.integers(-2, 3), int | None: st.one_of(st.none(), st.integers(-2, 3)),
+          bool: st.booleans(), str: st.sampled_from(["f", "g", "", "binding"]),
+          Fraction: st.sampled_from([1, -2, "1/2", "-1/2", "31/30", "-1/10"])}
 
 
 @st.composite
 def _objects(draw, cls):
     """A JSON object for ``cls``: well-typed small values, but now and then
     with a field dropped, a field holding any JSON value, or an unknown key."""
-    obj = {f.name: draw(_TYPED[f.type]) for f in fields(cls)}
+    obj = {name: draw(_TYPED[kind]) for name, kind in get_type_hints(cls).items()}
     flaw = draw(st.integers(0, 7))
     name = draw(st.sampled_from([*obj, "x"]))
     if flaw == 5:
@@ -244,23 +271,27 @@ def test_from_json_fuzz_ends_in_graph_or_plumbing_error(doc):
 # writer rule
 # ---------------------------------------------------------------------------
 
-def _omitted(x, f) -> bool:
-    """Whether field ``f`` of ``x`` holds a None, False or "" default."""
-    return any(f.default is d and getattr(x, f.name) is d for d in (None, False)) or (
-        f.default == "" and getattr(x, f.name) == "")
+def _omitted(x, name) -> bool:
+    """Whether field ``name`` of ``x`` holds a None, False or "" default."""
+    defaults = type(x)._field_defaults
+    if name not in defaults:
+        return False
+    default, value = defaults[name], getattr(x, name)
+    return any(default is d and value is d for d in (None, False)) or (
+        default == "" and value == "")
 
 
 def _check_writer_rule(x, d: dict) -> None:
-    assert list(d) == [f.name for f in fields(x) if f.name in d]
-    for f in fields(x):
-        assert (f.name not in d) == _omitted(x, f), f.name
-        if f.name in d:
-            value = getattr(x, f.name)
+    assert list(d) == [name for name in x._fields if name in d]
+    for name in x._fields:
+        assert (name not in d) == _omitted(x, name), name
+        if name in d:
+            value = getattr(x, name)
             if isinstance(value, Fraction):
                 value = frac_str(value)
             elif isinstance(value, tuple):
                 value = [frac_str(k) for k in value]
-            assert d[f.name] == value
+            assert d[name] == value
 
 
 @st.composite

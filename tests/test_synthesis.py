@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -229,7 +227,7 @@ def test_blow_down_checks_det_at_the_end(monkeypatch):
         calls.append(len(graph.vertices))
         if len(calls) == 2:
             first = graph.vertices[0]
-            graph = PlumbingTree((replace(first, weight=first.weight - 1),)
+            graph = PlumbingTree((first._replace(weight=first.weight - 1),)
                                  + graph.vertices[1:], graph.edges, graph.arrows)
         return eliminate(graph, rhs)
 
@@ -294,8 +292,8 @@ def decorated_forms(draw):
     lo = draw(st.integers(0, n - 1))
     run = range(lo, draw(st.integers(lo, n)))
     genus = draw(st.sets(st.integers(0, n - 1), max_size=2))
-    vertices = tuple(replace(v, weight=-1 if v.id in run else v.weight,
-                             genus=1 if v.id in genus else 0)
+    vertices = tuple(v._replace(weight=-1 if v.id in run else v.weight,
+                                genus=1 if v.id in genus else 0)
                      for v in form.vertices)
     arrows = tuple(Arrow(i, draw(st.sampled_from((1, -1))))
                    for i in draw(st.lists(st.integers(0, n - 1), max_size=2)))
