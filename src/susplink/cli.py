@@ -21,8 +21,9 @@ import os
 import stat
 import sys
 from functools import cache
+from math import log10
 
-from .errors import InputError, PlumbingError
+from .errors import InputError, PlumbingError, UnsupportedError
 from .graphs import (
     MultPlumbing,
     NielsenGraph,
@@ -156,6 +157,15 @@ def _shown_tree(tree: PlumbingTree, args) -> PlumbingTree:
 
 
 def _invariants_output(form: dict, fmt: str) -> str:
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, or before 3.10.7: no limit
+    for name in ("determinant", "K_squared", "K"):
+        values = form[name] if name == "K" else (form[name],)
+        big = max((abs(p) for x in values for p in (x.numerator, x.denominator)), default=0)
+        digits = int(big.bit_length() * log10(2))
+        digits += 10 ** digits <= big  # the estimate is the digit count or one less
+        if limit and digits > limit:
+            raise UnsupportedError(f"{name}: an integer of {digits} digits, more than "
+                                   f"the {limit} that Python converts to text")
     K = [frac_str(k) for k in form["K"]]
     data = {**form, "K": K, "K_squared": frac_str(form["K_squared"])}
     if fmt == "json":

@@ -20,10 +20,16 @@ and all stripped into it, and den_v the product of those of its stripped
 neighbours (on a chain, Hirzebruch-Jung continuants): nothing outgrows the
 determinant, which is the product of num over the vertices stripped last
 in their component, of den over the vertices left, and of the loop's
-pivots.  The loop, which few forms reach, works on ``Fraction``s and only
-its edge counts stay ints; its solution enters the leaves' integer
-back-substitution as (numerator, denominator).  A rational right-hand side
-is scaled to ints by the lcm of its denominators.  No floating point.
+pivots.  The loop, which few forms reach, runs on ints too: vertex k keeps
+num_k, den_k, bn_k and a row R_k of true entries R_k[l]/den_k.  A 1x1 pivot
+v takes a = R_k[v] out of each neighbour's row, sets R_k[l] <- R_k[l]*num_v
+minus a*R_v[l] (num_k and bn_k likewise, with R_v[k] and bn_v) and den_k <-
+den_k*num_v, and divides the row by its gcd; a 2x2 block on zero diagonals
+v, w scales by c_v*c_w (c_v = R_v[w], c_w = R_w[v]) and subtracts a_v*c_v*R_w
+and a_w*c_w*R_v.  det/det_den and each x_v = (bn_v - sum of R_v[l]*x_l)/num_v
+are reduced int pairs, and only the returned solution is ``Fraction``s.  A
+rational right-hand side is scaled to ints by the lcm of its denominators.
+No floating point.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ def eliminate(graph, rhs=None) -> Elimination:
     n = len(index)
     if rhs is not None and len(rhs) != n:
         raise ValueError(f"rhs has {len(rhs)} entries for a form of {n} vertices")
-    off: list[dict[int, int | Fraction]] = [{} for _ in range(n)]
+    off: list[dict[int, int]] = [{} for _ in range(n)]
     for e in graph.edges:
         u, v = index[e.u], index[e.v]
         x = off[u].get(v, 0) + e.sign
@@ -91,15 +97,12 @@ def eliminate(graph, rhs=None) -> Elimination:
             if len(off[k]) < 2:
                 stack.append(k)
         leaves.append(v)
-    # The vertices left enter det by their den, and the loop as Fractions.
-    diag, b = [None] * n, [0] * n
-    for k in (range(n) if remaining else ()):
-        if alive[k]:
-            det *= den[k]
-            diag[k] = Fraction(num[k], den[k])
-            if bn is not None:
-                b[k] = Fraction(bn[k], den[k])
-    heap = [(len(off[i]), i) for i in range(n) if alive[i]]
+    # The vertices left enter det by their den, and the loop with rows scaled by den.
+    b, det_den = bn if bn is not None else [0] * n, 1
+    heap = [(len(off[k]), k) for k in range(n) if alive[k]]
+    for _, k in heap:
+        det *= den[k]
+        off[k] = {l: x * den[k] for l, x in off[k].items()}
     heapq.heapify(heap)
     # A vertex the 2x2 search passes over is dead, or has no off-diagonal
     # entry and so is no block's neighbour; fill-in only joins two
@@ -107,12 +110,13 @@ def eliminate(graph, rhs=None) -> Elimination:
     # search resumes where it stopped.
     cursor = 0
     while remaining:
+        # Each (s, t, q, f) of a pivot solves x_t from row s over q; f = p/q.
         while heap:
             degree, v = heapq.heappop(heap)
-            if alive[v] and degree == len(off[v]) and diag[v]:
-                block, inverse = (v,), {(v, v): 1 / diag[v]}
-                det *= diag[v]
-                definite = definite and diag[v] < 0
+            if alive[v] and degree == len(off[v]) and num[v]:
+                p, w, solved = num[v], v, ((v, v, num[v], 1),)
+                det, det_den = det * p, det_den * den[v]
+                definite = definite and (p < 0) != (den[v] < 0)
                 break
         else:
             while cursor < n and not (alive[cursor] and off[cursor]):
@@ -121,45 +125,48 @@ def eliminate(graph, rhs=None) -> Elimination:
                 if rhs is not None:
                     raise MonodromyError("degenerate monodromical system: singular matrix")
                 return Elimination(0, False, None)
-            v = cursor
-            w = min(off[v])
-            c = off[v][w]
-            block, inverse = (v, w), {(v, w): Fraction(1, c), (w, v): Fraction(1, c)}
-            det *= -c * c
-            definite = False
-        couplings = {s: {k: x for k, x in off[s].items() if k not in block} for s in block}
-        for s in block:
-            alive[s] = False
-            for k in couplings[s]:
-                del off[k][s]
-        # Schur complement: a_kl -= sum over s, t of a_ks (block^-1)_st a_tl
-        for (s, t), p in inverse.items():
-            for k, x in couplings[s].items():
-                f = -x * p
-                if b[t]:
-                    b[k] += f * b[t]
-                for l, y in couplings[t].items():
-                    if k == l:
-                        diag[k] += f * y
-                    elif total := off[k].get(l, 0) + f * y:
-                        off[k][l] = total
+            v, w = cursor, min(off[cursor])
+            cv, cw = off[v].pop(w), off[w].pop(v)
+            p, solved = cv * cw, ((v, w, cv, cw), (w, v, cw, cv))
+            det, det_den, definite = -det * p, det_den * den[v] * den[w], False
+        det, det_den = det // (g := gcd(det, det_den)), det_den // g
+        alive[v] = alive[w] = False
+        # Row k <- p * row k - sum of a * f * row s over the entries a = R_k[t].
+        for k in off[v].keys() | off[w].keys():
+            row = off[k]
+            terms = [(row.pop(t) * f, s) for s, t, _, f in solved if t in row]
+            new = {l: y * p for l, y in row.items()}
+            d, e, c = num[k] * p, b[k] * p, den[k] * p
+            for a, s in terms:
+                e -= a * b[s]
+                for l, y in off[s].items():
+                    if l == k:
+                        d -= a * y
+                    elif total := new.get(l, 0) - a * y:
+                        new[l] = total
                     else:
-                        del off[k][l]
-        for k in set().union(*couplings.values()):
-            heapq.heappush(heap, (len(off[k]), k))
-        if rhs is not None:
-            steps.append((block, inverse, couplings))
-        remaining -= len(block)
+                        del new[l]
+            g = gcd(d, c, e, *new.values())
+            if g != 1:
+                d, c, e, new = d // g, c // g, e // g, {l: y // g for l, y in new.items()}
+            num[k], den[k], b[k], off[k] = d, c, e, new
+            heapq.heappush(heap, (len(new), k))
+        steps += solved
+        remaining -= len(solved)
+    det //= det_den
     if rhs is None:
-        return Elimination(int(det), definite, None)
-    x = [0] * n
-    for block, inverse, couplings in reversed(steps):
-        residual = {t: b[t] - sum(y * x[k] for k, y in couplings[t].items()) for t in block}
-        for (s, t), p in inverse.items():
-            x[s] += p * residual[t]
-    for block, _, _ in steps:
-        for s in block:
-            x[s] = x[s].numerator, x[s].denominator
+        return Elimination(det, definite, None)
+    # x_t = (b_s - sum of R_s[l] * x_l) / q, each x as a reduced pair.
+    x = [(0, 1)] * n
+    for s, t, q, _ in reversed(steps):
+        top, d = b[s], 1
+        for l, y in off[s].items():
+            p, r = x[l]
+            g = gcd(d, r)
+            top, d = top * (r // g) - y * p * (d // g), d // g * r
+        d *= q
+        g = gcd(top, d) if d > 0 else -gcd(top, d)
+        x[t] = top // g, d // g
     # x_v = (bn[v] - y * den[v] * x_k) / num[v] for v's one neighbour k,
     # with y = 0 and x_k = 0 when it had none; the pair comes out reduced.
     for v in reversed(leaves):
@@ -172,5 +179,5 @@ def eliminate(graph, rhs=None) -> Elimination:
         top = bn[v] * q - y * e // g * p
         g = gcd(top, d) if d > 0 else -gcd(top, d)
         x[v] = top // g, d // g * q
-    return Elimination(int(det), definite, [Fraction(p, q * scale) if q * scale != 1
-                                            else Fraction(p) for p, q in x])
+    return Elimination(det, definite, [Fraction(p, q * scale) if q * scale != 1
+                                       else Fraction(p) for p, q in x])

@@ -196,17 +196,17 @@ def build_nielsen(mp: MultPlumbing) -> NielsenGraph:
         twist = Fraction(-ec.sign * n * alpha, mi * mj)
         s = -ec.sign  # sign of the twist
         beta_v = cf_dual(alpha, beta_u)
-        sigma_u = Fraction(lam_u * beta_u + s * lam_v, alpha)
-        sigma_v = Fraction(lam_v * beta_v + s * lam_u, alpha)
-        if sigma_u.denominator != 1 or sigma_v.denominator != 1:
+        sigma_u, rest_u = divmod(lam_u * beta_u + s * lam_v, alpha)
+        sigma_v, rest_v = divmod(lam_v * beta_v + s * lam_u, alpha)
+        if rest_u or rest_v:
             raise ChainDataError(
                 "inconsistent chain data: rotation numbers are not integral "
                 "(the input does not satisfy the monodromical system)",
                 elements=(ec.node_u, ec.node_v))
         edges.append(NielsenEdge(
             ec.node_u, ec.node_v, twist,
-            lam_u, int(sigma_u) % lam_u,
-            lam_v, int(sigma_v) % lam_v,
+            lam_u, sigma_u % lam_u,
+            lam_v, sigma_v % lam_v,
         ))
 
     return NielsenGraph(vertices, tuple(stalks), tuple(boundary_stalks), tuple(edges))

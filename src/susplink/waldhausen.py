@@ -50,15 +50,17 @@ def _seifert_pair(m: int, m_far: int, t: Fraction, lam: int, sigma: int,
     by (alpha, lam) steps until 0 <= beta < alpha.  ``at`` is the piece and,
     for a gluing edge, the far piece: the ids an error names."""
     where = f"arrow at vertex {at[0]}" if len(at) == 1 else f"edge at {at[0]} to {at[1]}"
-    alpha = abs(m_far * t * lam)
-    beta = (-1 if t > 0 else 1) * Fraction(m_far - m * m_far * t * sigma, m)
-    if alpha.denominator != 1:
-        raise NormalizationError(f"{where}: alpha = {alpha} is not integral", elements=at)
-    if beta.denominator != 1:
+    tn, td = t.numerator, t.denominator
+    alpha, rest = divmod(abs(m_far * tn * lam), td)
+    if rest:
+        raise NormalizationError(f"{where}: alpha = {Fraction(abs(m_far * tn * lam), td)} "
+                                 "is not integral", elements=at)
+    top = (-1 if tn > 0 else 1) * m_far * (td - m * tn * sigma)
+    beta, rest = divmod(top, m * td)
+    if rest:
         raise NormalizationError(
-            f"mero normalization failure at {where}: "
-            f"beta = {beta} is not integral for any representative", elements=at)
-    alpha, beta = int(alpha), int(beta)
+            f"mero normalization failure at {where}: beta = {Fraction(top, m * td)} "
+            "is not integral for any representative", elements=at)
     k = -(beta // alpha)
     return alpha, beta + k * alpha, sigma + k * lam
 

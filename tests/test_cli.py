@@ -567,6 +567,27 @@ def test_seifert_pair_errors_name_the_piece(tmp_path, capsys, n, message):
     assert (code, out, err) == (1, "", f"error [waldhausen] {message}\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_invariants_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsys, fmt):
+    """A 100-vertex path of weight -10^50 has a determinant of 5000 digits,
+    more than Python converts to text (4300 by default): an error naming
+    the digit count, exit 1 and no output file, not a ValueError."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not 0 < limit < 5000:
+        pytest.skip(f"this interpreter converts {limit or 'any number of'} digits")
+    path, out_path = tmp_path / "path.json", tmp_path / "out.txt"
+    path.write_text(json.dumps({
+        "schema": "susplink/plumbing:1",
+        "vertices": [{"id": i, "weight": -10**50} for i in range(1, 101)],
+        "edges": [{"u": i, "v": i + 1} for i in range(1, 100)]}), encoding="utf-8")
+    code, out, err = run_cli(capsys, "invariants", str(path), "--format", fmt,
+                             "-o", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == (f"error [invariants] determinant: an integer of 5000 digits, more than "
+                   f"the {limit} that Python converts to text\n")
+    assert not out_path.exists()
+
+
 # -- one parser per process ---------------------------------------------------
 
 def _main_as_fresh(argv):

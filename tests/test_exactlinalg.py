@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dense_linalg import determinant, is_negative_definite, leading_minors, solve_exact
 from susplink.errors import MonodromyError
@@ -225,6 +225,40 @@ def test_zero_weight_forms_match_dense_reference(tree, det):
     _check_against_dense_reference(tree, list(range(1, len(tree.vertices) + 1)))
 
 
+# -- the least-degree loop: 1x1 pivots and 2x2 blocks mixed -----------------
+
+@st.composite
+def loop_forms(draw):
+    """A cycle through all n >= 3 vertices, each of its edges taken one to
+    three times with one sign, plus chords between vertices that are not
+    neighbours on it (chords may cancel each other, never a cycle edge).
+    Every vertex keeps two neighbours, so the leaf pass strips nothing and
+    every pivot is the loop's.  At most three weights are nonzero, so 2x2
+    blocks are frequent, and the fill-in of a 1x1 pivot can cancel a
+    diagonal or that of a 2x2 block make one nonzero: about a third of
+    these forms mix the two kinds."""
+    n = draw(st.integers(3, 9))
+    weights = [0] * n
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        weights[i] = draw(st.sampled_from((-3, -2, -1, 1, 2)))
+    edges = []
+    for i in range(n):
+        edges += [Edge(i, (i + 1) % n, draw(st.sampled_from((1, -1))))] * draw(st.integers(1, 3))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(2, max(2, n - 2)),
+                                     st.sampled_from((1, -1))), max_size=2 * n if n > 3 else 0))
+    edges += [Edge(i, (i + k) % n, sign) for i, k, sign in chords]
+    return PlumbingTree(tuple(Vertex(i, w) for i, w in enumerate(weights)), tuple(edges))
+
+
+# A zero-weight 5-cycle with one edge doubled: its second 2x2 block joins
+# rows of different scale, so R_v[w] != R_w[v].
+@example(PlumbingTree(tuple(Vertex(i, 0) for i in range(5)),
+                      tuple(Edge(i, (i + 1) % 5) for i in (0, 0, 1, 2, 3, 4))), [1, 2, 3, 4, 5])
+@given(loop_forms(), st.lists(st.fractions(-9, 9, max_denominator=12), min_size=9, max_size=9))
+def test_loop_forms_match_dense_reference(tree, rhs):
+    _check_against_dense_reference(tree, rhs)
+
+
 # -- the integer leaf pass: named cases ---------------------------------------
 
 @given(plumbing_forms(), st.lists(st.fractions(-9, 9, max_denominator=12), min_size=7,
@@ -350,3 +384,31 @@ def test_zero_weight_cycle_at_size(n):
     assert form.determinant == eliminate(tree).determinant == _cycle_det(weights, counts) != 0
     assert not form.negative_definite
     assert _apply_form(tree, form.solution) == rhs
+
+
+def test_ladder_is_independent_of_vertex_and_edge_order():
+    """A 2 x 1000 ladder (rails 1..1000 and 1001..2000, rungs i to i + 1000)
+    has no leaf, so every vertex goes through the loop, which fills in as it
+    runs along the ladder.  A seeded reordering of the vertices and edges
+    changes neither det, definiteness nor the solution, and the solution
+    satisfies A*x = rhs."""
+    n = 1000
+    vertices = [Vertex(i, -4 if i % 3 == 0 else -3) for i in range(1, 2 * n + 1)]
+    edges = ([Edge(i, i + 1) for i in range(1, 2 * n) if i != n]
+             + [Edge(i, i + n) for i in range(1, n + 1)])
+    rhs = {v.id: v.id % 7 - 3 for v in vertices}
+    shuffled_vertices, shuffled_edges = vertices[:], edges[:]
+    rnd = random.Random(2000)
+    rnd.shuffle(shuffled_vertices)
+    rnd.shuffle(shuffled_edges)
+    results = []
+    for vs, es in ((vertices, edges), (shuffled_vertices, shuffled_edges)):
+        tree = PlumbingTree(tuple(vs), tuple(es))
+        b = [rhs[v.id] for v in vs]
+        form = eliminate(tree, b)
+        assert form.determinant == eliminate(tree).determinant
+        assert _apply_form(tree, form.solution) == b
+        results.append((form.determinant, form.negative_definite,
+                        dict(zip(tree.ids, form.solution))))
+    assert results[0] == results[1]
+    assert results[0][0] > 0 and results[0][1]

@@ -183,3 +183,19 @@ def test_chain_fraction_message_stays_bounded(weight):
         _chain_fraction(dict.fromkeys(chain.vertices, weight), chain)
     assert len(exc.value.args[0]) < 150
     assert exc.value.elements == chain.vertices
+
+
+@pytest.mark.parametrize("weight", [-3, -4, -5])
+def test_non_integral_rotation_numbers_are_a_chain_error(weight):
+    """Two genus-1 nodes of multiplicity 1 joined through one vertex of
+    multiplicity 1 and weight -3, -4 or -5: the chain fraction alpha is 3,
+    4 or 5, and neither rotation number (lam_u * beta_u - lam_v) / alpha nor
+    its dual is an integer."""
+    mp = MultPlumbing((MultVertex(1, -1, 1, 1, False), MultVertex(2, weight, 0, 1, False),
+                       MultVertex(3, -1, 1, 1, False)),
+                      (Edge(1, 2), Edge(2, 3)))
+    with pytest.raises(ChainDataError) as info:
+        build_nielsen(mp)
+    assert str(info.value) == (
+        "inconsistent chain data: rotation numbers are not integral (the input does "
+        "not satisfy the monodromical system) (elements: 1, 3)")

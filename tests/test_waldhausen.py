@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from susplink.errors import InputError, NormalizationError, PlumbingError, UnsupportedError
 from susplink.graphs import (
@@ -22,7 +22,7 @@ from susplink.nielsen import build_nielsen
 from susplink.power import power_nielsen
 from susplink.resolve import subtract_and_normalize
 from susplink.synthesis import synth_plumbing
-from susplink.waldhausen import nielsen_to_waldhausen
+from susplink.waldhausen import _seifert_pair, nielsen_to_waldhausen
 
 
 def waldhausen_of(graph, r):
@@ -114,6 +114,63 @@ def test_normalization_failure_is_reported():
     )
     with pytest.raises(NormalizationError):
         nielsen_to_waldhausen(n)
+
+
+def _fraction_seifert_pair(m, m_far, t, lam, sigma, at):
+    """The Seifert pair computed on Fractions throughout: the reference the
+    integer computation must equal, errors included."""
+    where = f"arrow at vertex {at[0]}" if len(at) == 1 else f"edge at {at[0]} to {at[1]}"
+    alpha = abs(m_far * t * lam)
+    beta = (-1 if t > 0 else 1) * Fraction(m_far - m * m_far * t * sigma, m)
+    if alpha.denominator != 1:
+        raise NormalizationError(f"{where}: alpha = {alpha} is not integral", elements=at)
+    if beta.denominator != 1:
+        raise NormalizationError(
+            f"mero normalization failure at {where}: "
+            f"beta = {beta} is not integral for any representative", elements=at)
+    alpha, beta = int(alpha), int(beta)
+    k = -(beta // alpha)
+    return alpha, beta + k * alpha, sigma + k * lam
+
+
+def _outcome(pair, *args):
+    try:
+        return pair(*args)
+    except NormalizationError as exc:
+        return str(exc), exc.elements
+
+
+# alpha = 3/2 (the twist's denominator 4 is not cancelled by m' * lam = 6);
+# beta = -1/2 with alpha = 1; and an integral pair (alpha, beta, sigma') =
+# (2, 0, -1) at an edge.
+@example(6, 1, Fraction(-1, 4), 6, 5, (1,))
+@example(2, 1, Fraction(1), 1, 0, (1,))
+@example(2, 2, Fraction(-1, 2), 2, 1, (1, 2))
+@given(st.integers(1, 12), st.integers(1, 12),
+       st.fractions(-6, 6, max_denominator=36).filter(bool),
+       st.integers(1, 12), st.integers(-12, 12),
+       st.sampled_from([(1,), (1, 2), (7, 3)]))
+def test_seifert_pair_equals_the_fraction_formula(m, m_far, t, lam, sigma, at):
+    """(alpha, beta, sigma') from divmod equal the Fraction formula, and
+    both non-integral cases raise NormalizationError with the same text."""
+    assert (_outcome(_seifert_pair, m, m_far, t, lam, sigma, at)
+            == _outcome(_fraction_seifert_pair, m, m_far, t, lam, sigma, at))
+
+
+@pytest.mark.parametrize("args,message", [
+    ((6, 1, Fraction(-1, 4), 6, 5, (1,)),
+     "arrow at vertex 1: alpha = 3/2 is not integral (elements: 1)"),
+    ((2, 1, Fraction(1), 1, 0, (1,)),
+     "mero normalization failure at arrow at vertex 1: beta = -1/2 is not integral "
+     "for any representative (elements: 1)"),
+    ((3, 2, Fraction(-1, 2), 3, 1, (1, 2)),
+     "mero normalization failure at edge at 1 to 2: beta = 5/3 is not integral "
+     "for any representative (elements: 1, 2)"),
+], ids=["alpha", "beta_arrow", "beta_edge"])
+def test_seifert_pair_errors_are_pinned(args, message):
+    with pytest.raises(NormalizationError) as info:
+        _seifert_pair(*args)
+    assert str(info.value) == message
 
 
 def test_lam_1_stalks_are_regular_fibres():
