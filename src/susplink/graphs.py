@@ -10,10 +10,12 @@ Five graph flavours move through the pipeline:
 
 All types are immutable value objects; passes are pure functions.  Graph
 elements are ``NamedTuple`` records; the five graphs are frozen dataclasses
-that validate their elements on construction.  Vertex ids
-are the small integers assigned at parse time and are preserved through the
-passes wherever a vertex survives, so reports can be matched against input
-figures vertex by vertex.
+on one base, ``_Graph``, which holds ``ids`` and the rules all five share:
+distinct vertex ids, genus >= 0, and every edge end, arrow, stalk and
+boundary stalk on a known vertex.  Each constructor checks these first, then
+its own.  Vertex ids are the small integers assigned at parse time and are
+preserved through the passes wherever a vertex survives, so reports can be
+matched against input figures vertex by vertex.
 
 ``unbalanced`` is the one statement of the monodromical balance
 
@@ -24,6 +26,7 @@ which every pass that checks or solves multiplicities reads from.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -83,28 +86,36 @@ class Arrow(NamedTuple):
     label: str = ""
 
 
-def _ids(vertices) -> list[int]:
-    ids = [v.id for v in vertices]
-    if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        raise InputError("duplicate vertex ids", elements=tuple(dupes))
-    return ids
+@dataclass(frozen=True)
+class _Graph:
+    """Base of the five graph containers: ``ids`` and the shared checks."""
 
+    @property
+    def ids(self) -> tuple[int, ...]:
+        return tuple(v.id for v in self.vertices)
 
-def _check_endpoints(ids, edges, arrows):
-    known = set(ids)
-    for e in edges:
-        if e.u not in known or e.v not in known:
-            raise InputError("edge endpoint on unknown vertex", elements=(e.u, e.v))
-        if e.u == e.v:
-            raise InputError("self-loop edges are not supported", elements=(e.u,))
-    for a in arrows:
-        if a.vertex not in known:
-            raise InputError("arrow on unknown vertex", elements=(a.vertex,))
+    def _check_shared(self, edges, *hung) -> None:
+        """Distinct ids, genus >= 0, and the ends of ``edges`` ((u, v, ...)
+        tuples) and the ``vertex`` of every element in ``hung`` known."""
+        ids = self.ids
+        known = set(ids)
+        if len(known) != len(ids):
+            dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
+            raise InputError("duplicate vertex ids", elements=tuple(dupes))
+        for v in self.vertices:
+            if v.genus < 0:
+                raise InputError("genus must be >= 0", elements=(v.id,))
+        for e in edges:
+            if e[0] not in known or e[1] not in known:
+                raise InputError("edge end on unknown vertex", elements=(e[0], e[1]))
+        for elements in hung:
+            for x in elements:
+                if x.vertex not in known:
+                    raise InputError("arrow or stalk on unknown vertex", elements=(x.vertex,))
 
 
 @dataclass(frozen=True)
-class PlumbingTree:
+class PlumbingTree(_Graph):
     """Weighted plumbing graph.
 
     Parsed inputs must be trees; synthesized outputs may carry parallel
@@ -117,18 +128,12 @@ class PlumbingTree:
     arrows: tuple[Arrow, ...] = ()
 
     def __post_init__(self):
-        ids = _ids(self.vertices)
-        _check_endpoints(ids, self.edges, self.arrows)
+        self._check_shared(self.edges, self.arrows)
         for e in self.edges:
+            if e.u == e.v:
+                raise InputError("self-loop edges are not supported", elements=(e.u,))
             if e.sign not in (1, -1):
                 raise InputError(f"edge sign must be +-1, got {e.sign}", elements=(e.u, e.v))
-        for v in self.vertices:
-            if v.genus < 0:
-                raise InputError("genus must be >= 0", elements=(v.id,))
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)
 
     def is_tree(self) -> bool:
         return _is_tree(self.ids, [(e.u, e.v) for e in self.edges])
@@ -231,7 +236,7 @@ class ResArrow(NamedTuple):
 
 
 @dataclass(frozen=True)
-class ResolutionGraph:
+class ResolutionGraph(_Graph):
     """Decorated resolution tree of the product germ, with a boundary arrow
     per branch of each side."""
 
@@ -240,9 +245,8 @@ class ResolutionGraph:
     arrows: tuple[ResArrow, ...] = ()
 
     def __post_init__(self):
-        ids = _ids(self.vertices)
-        _check_endpoints(ids, [Edge(u, v) for u, v in self.edges], self.arrows)
-        check_tree(ids, self.edges, "resolution graph")
+        self._check_shared(self.edges, self.arrows)
+        check_tree(self.ids, self.edges, "resolution graph")
         for a in self.arrows:
             if a.side not in ("f", "g"):
                 raise InputError(f"arrow side must be f or g, got {excerpt(a.side)}")
@@ -257,10 +261,6 @@ class ResolutionGraph:
             raise InputError(
                 "either every vertex carries both mf and mg or none does"
             )
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)
 
     def has_multiplicities(self) -> bool:
         return bool(self.vertices) and self.vertices[0].mf is not None
@@ -279,15 +279,14 @@ class MultVertex(NamedTuple):
 
 
 @dataclass(frozen=True)
-class MultPlumbing:
+class MultPlumbing(_Graph):
     vertices: tuple[MultVertex, ...]
     edges: tuple[Edge, ...]
     arrows: tuple[Arrow, ...] = ()
 
     def __post_init__(self):
-        ids = _ids(self.vertices)
-        _check_endpoints(ids, self.edges, self.arrows)
-        check_tree(ids, [(e.u, e.v) for e in self.edges], "multiplicity tree")
+        self._check_shared(self.edges, self.arrows)
+        check_tree(self.ids, [(e.u, e.v) for e in self.edges], "multiplicity tree")
         for v in self.vertices:
             if v.m < 0:
                 raise InputError("multiplicities must be >= 0 after normalization",
@@ -301,18 +300,19 @@ class MultPlumbing:
                     elements=(e.u, e.v),
                 )
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)
-
-    def node_ids(self) -> tuple[int, ...]:
-        """Nodes: vertices with edge-valence + arrow count >= 3, or genus >= 1."""
+    def valence(self) -> dict[int, int]:
+        """id -> number of edges plus arrows at the vertex."""
         valence = dict.fromkeys(self.ids, 0)
         for e in self.edges:
             valence[e.u] += 1
             valence[e.v] += 1
         for a in self.arrows:
             valence[a.vertex] += 1
+        return valence
+
+    def node_ids(self) -> tuple[int, ...]:
+        """Nodes: vertices with valence >= 3, or genus >= 1."""
+        valence = self.valence()
         return tuple(v.id for v in self.vertices if valence[v.id] >= 3 or v.genus >= 1)
 
 
@@ -322,11 +322,11 @@ class MultPlumbing:
 
 def _check_pieces(vertices) -> None:
     """Vertices of Nielsen and Waldhausen graphs are pieces with an order
-    and a q of at least 1 and a nonnegative genus; of these only pieces
-    fixed by the monodromy (q = 1) are supported."""
+    and a q of at least 1; of these only pieces fixed by the monodromy
+    (q = 1) are supported."""
     for v in vertices:
-        if v.order < 1 or v.q < 1 or v.genus < 0:
-            raise InputError("order and q must be >= 1, genus >= 0", elements=(v.id,))
+        if v.order < 1 or v.q < 1:
+            raise InputError("order and q must be >= 1", elements=(v.id,))
         if v.q != 1:
             raise UnsupportedError(
                 "pieces permuted in orbits of size q > 1 are not supported",
@@ -371,7 +371,7 @@ class NielsenEdge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class NielsenGraph:
+class NielsenGraph(_Graph):
     """Nielsen graph of a quasi-periodic diffeomorphism.
 
     Valencies are stored with the canonical class representative
@@ -385,15 +385,13 @@ class NielsenGraph:
     edges: tuple[NielsenEdge, ...] = ()
 
     def __post_init__(self):
-        ids = _ids(self.vertices)
+        self._check_shared(self.edges, self.stalks, self.boundary_stalks)
+        _check_pieces(self.vertices)
         order = {v.id: v.order for v in self.vertices}
         # m * (sum of sigma/lam) per vertex, in ints as lam divides m; its
         # divisibility by m does not depend on the representative choice
-        euler = dict.fromkeys(ids, 0)
-        _check_pieces(self.vertices)
+        euler = dict.fromkeys(self.ids, 0)
         for vid, lam, sigma in self.incidences():
-            if vid not in euler:
-                raise InputError("incidence on unknown vertex", elements=(vid,))
             if lam < 1:
                 raise InputError("valency lam must be >= 1", elements=(vid,))
             if not 0 <= sigma < lam:
@@ -438,10 +436,6 @@ class NielsenGraph:
         for e in self.edges:
             yield e.v, e.lam_v, e.sigma_v
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)
-
 
 # ---------------------------------------------------------------------------
 # Waldhausen graphs
@@ -478,20 +472,17 @@ class WaldEdge(NamedTuple):
 
 
 @dataclass(frozen=True)
-class WaldhausenGraph:
+class WaldhausenGraph(_Graph):
     vertices: tuple[WaldVertex, ...]
     stalks: tuple[WaldStalk, ...] = ()
     arrows: tuple[WaldArrow, ...] = ()
     edges: tuple[WaldEdge, ...] = ()
 
     def __post_init__(self):
-        ids = _ids(self.vertices)
-        known = set(ids)
+        self._check_shared(self.edges, self.stalks, self.arrows)
         _check_pieces(self.vertices)
         for kind, pairs, low in (("stalk", self.stalks, 1), ("arrow", self.arrows, 0)):
             for s in pairs:
-                if s.vertex not in known:
-                    raise InputError(f"{kind} on unknown vertex", elements=(s.vertex,))
                 if not low <= s.beta < s.alpha:
                     raise InputError(
                         f"{kind} pair ({s.alpha}, {s.beta}) is not normalized",
@@ -501,8 +492,6 @@ class WaldhausenGraph:
                         f"{kind} pair ({s.alpha}, {s.beta}) at vertex {s.vertex} is not "
                         f"reduced: gcd {gcd(s.alpha, s.beta)}", elements=(s.vertex,))
         for e in self.edges:
-            if e.u not in known or e.v not in known:
-                raise InputError("edge on unknown vertex", elements=(e.u, e.v))
             if e.eps not in (1, -1):
                 raise InputError("edge eps must be +-1", elements=(e.u, e.v))
             if not (0 <= e.beta_u < e.alpha and 0 <= e.beta_v < e.alpha):
@@ -511,7 +500,3 @@ class WaldhausenGraph:
                 raise InputError(
                     f"beta * beta' = {e.beta_u} * {e.beta_v} is not 1 mod {e.alpha}",
                     elements=(e.u, e.v))
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import MonodromyError, PlumbingError
 from .exactlinalg import Elimination, eliminate
-from .graphs import MultPlumbing, PlumbingTree, adjacency
+from .graphs import MultPlumbing, PlumbingTree
 
 __all__ = [
     "adjunction_system",
@@ -88,14 +88,8 @@ def fibre_euler(mp: MultPlumbing) -> FibreData:
     """Euler characteristic, genus and boundary count of the (connected)
     fibre: each piece covers its base m_v times, so
     chi = sum |m_v| * (2 - 2g_v - valence_v)."""
-    adj = adjacency(mp.ids, mp.edges)
-    arrow_count = {v.id: 0 for v in mp.vertices}
-    for a in mp.arrows:
-        arrow_count[a.vertex] += 1
-    chi = sum(
-        abs(v.m) * (2 - 2 * v.genus - len(adj[v.id]) - arrow_count[v.id])
-        for v in mp.vertices
-    )
+    valence = mp.valence()
+    chi = sum(abs(v.m) * (2 - 2 * v.genus - valence[v.id]) for v in mp.vertices)
     boundary = sum(abs(a.mult) for a in mp.arrows)
     if (2 - chi - boundary) % 2:
         raise PlumbingError(

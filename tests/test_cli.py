@@ -234,6 +234,20 @@ def test_q_gt_1_nielsen_document_fails_in_the_reading_stage(tmp_path, capsys, co
                    "are not supported (elements: 1)\n")
 
 
+def test_negative_genus_fails_in_the_nielsen_stage(tmp_path, capsys):
+    """ex1's multiplicity tree with genus -1 on vertex 1 is rejected while
+    the nielsen stage reads it, not computed as if the genus were 0."""
+    mp = tmp_path / "mp.json"
+    assert main(["step1", str(DATA / "ex1.txt"), "-o", str(mp)]) == 0
+    doc = json.loads(mp.read_text())
+    assert doc["vertices"][0]["id"] == 1
+    doc["vertices"][0]["genus"] = -1
+    mp.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, "nielsen", str(mp))
+    assert (code, out) == (1, "")
+    assert err.startswith("error [nielsen] genus must be >= 0")
+
+
 @pytest.mark.parametrize("doc,field", [
     ({"vertices": [{"id": 1, "weight": -2, "genu": 1}, {"id": 2, "weight": -2}],
       "edges": [{"u": 1, "v": 2, "sing": -1}]}, "'genu' in vertices[0]"),

@@ -61,6 +61,13 @@ def test_parse_errors_quote_a_short_prefix(text, start):
     assert message.startswith(start) and len(message) < 200
 
 
+def test_parse_rejects_a_negative_genus():
+    """A negative genus fails while the text is read, not in a later stage."""
+    with pytest.raises(InputError) as info:
+        parse_resolution("vertex 1 weight=-1 genus=-1\n")
+    assert str(info.value) == "genus must be >= 0 (elements: 1)"
+
+
 @pytest.mark.parametrize("text,message", [
     ("vertex 1 weight=-2 weight=-1\n", "line 1: duplicate field 'weight'"),
     ("vertex 1 weight=-2 genus=0 mf=1 genus=1\n", "line 1: duplicate field 'genus'"),

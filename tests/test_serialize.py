@@ -126,6 +126,18 @@ def test_malformed_json_is_rejected():
             from_json(doc)
 
 
+@pytest.mark.parametrize("doc", [
+    {"schema": "susplink/resolution:1", "vertices": [{"id": 1, "weight": -1, "genus": -1}],
+     "edges": []},
+    {"schema": "susplink/multiplicity:1",
+     "vertices": [{"id": 1, "weight": -1, "genus": -1, "m": 1}], "edges": []},
+], ids=["resolution", "multiplicity"])
+def test_negative_genus_documents_are_rejected(doc):
+    with pytest.raises(InputError) as info:
+        from_json(json.dumps(doc))
+    assert str(info.value) == "genus must be >= 0 (elements: 1)"
+
+
 @pytest.mark.parametrize("doc,start", [
     ({"schema": "susplink/plumbing:1", "edges": [],
       "vertices": [{"id": 1, "weight": -1}, {"id": 2, "weight": "x", "origin": "o" * 10**6}]},
