@@ -16,7 +16,6 @@ stderr, results to stdout or ``-o``; the exit code is 0 iff no stage failed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -37,7 +36,7 @@ from .pipeline import StageError, _stage, run_pipeline
 from .power import power_nielsen
 from .report import render_graph_text, render_json_dict, render_text
 from .resolve import SIDE_COEFFS, parse_resolution, subtract_and_normalize
-from .serialize import frac_str, from_json, to_dot, to_json
+from .serialize import dumps, frac_str, from_json, to_dot, to_json
 from .synthesis import reduce_tree, strip_decorations, synth_plumbing
 from .waldhausen import nielsen_to_waldhausen
 
@@ -84,14 +83,6 @@ def _emit(text: str, out: str | None):
                 handle.truncate()
     else:
         sys.stdout.write(text)
-
-
-def _graph_output(graph, fmt: str) -> str:
-    if fmt == "dot":
-        return to_dot(graph)
-    if fmt == "text":
-        return render_graph_text(graph)
-    return to_json(graph) + "\n"
 
 
 @cache
@@ -156,20 +147,26 @@ def _shown_tree(tree: PlumbingTree, args) -> PlumbingTree:
     return tree
 
 
-def _invariants_output(form: dict, fmt: str) -> str:
+def _check_digits(numbers: dict) -> None:
+    """UnsupportedError naming the first of ``numbers`` (name -> an int, a
+    Fraction, None or a tuple of those) too long for Python to print."""
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, or before 3.10.7: no limit
-    for name in ("determinant", "K_squared", "K"):
-        values = form[name] if name == "K" else (form[name],)
+    for name, value in numbers.items():
+        values = value if type(value) is tuple else (value or 0,)
         big = max((abs(p) for x in values for p in (x.numerator, x.denominator)), default=0)
         digits = int(big.bit_length() * log10(2))
         digits += 10 ** digits <= big  # the estimate is the digit count or one less
         if limit and digits > limit:
             raise UnsupportedError(f"{name}: an integer of {digits} digits, more than "
                                    f"the {limit} that Python converts to text")
+
+
+def _invariants_output(form: dict, fmt: str) -> str:
+    _check_digits({name: form[name] for name in ("determinant", "K_squared", "K")})
     K = [frac_str(k) for k in form["K"]]
     data = {**form, "K": K, "K_squared": frac_str(form["K_squared"])}
     if fmt == "json":
-        return json.dumps({"schema": "susplink/invariants:1", **data}, indent=2) + "\n"
+        return dumps({"schema": "susplink/invariants:1", **data}) + "\n"
     data["K"] = "(" + ", ".join(K) + ")"
     return "".join(f"{key} = {value}\n" for key, value in data.items())
 
@@ -192,18 +189,20 @@ def _cmd_stage(args) -> str:
     result = _stage(args.command)(run, _load(args.input, want, args.command), args)
     if args.command == "invariants":
         return _invariants_output(result, args.format)
-    return _graph_output(result, args.format)
+    if args.format == "dot":
+        return to_dot(result)
+    return render_graph_text(result) if args.format == "text" else to_json(result) + "\n"
 
 
 def _run_one_pipeline(path: str, args) -> str:
     graph = _load(path, ResolutionGraph, "parse")
     result = run_pipeline(graph, args.r, side=args.side,
                           keep_arrows=args.keep_arrows, reduce=args.blow_down)
+    _check_digits(result.obstructions._asdict())
     if args.format == "json":
-        return json.dumps(render_json_dict(result), indent=2) + "\n"
+        return dumps(render_json_dict(result)) + "\n"
     if args.format == "dot":
-        final = result.blowdown if result.blowdown is not None else result.plumbing
-        return to_dot(final)
+        return to_dot(result.blowdown or result.plumbing)
     return render_text(result)
 
 

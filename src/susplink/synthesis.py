@@ -167,8 +167,8 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
     work on one state: a weight per id, the edges in their order with the
     removed ones set to None and each joining edge appended, and per id its
     incident edge indices in edge order.  The reduced tree is built once,
-    after the last step, and |det| of the whole form is compared before the
-    first step and after the last.
+    after the last step, and when a vertex was removed |det| of its form is
+    compared with that of the input.
 
     Only the -1 vertices and the neighbours of a removed vertex can become
     candidates, so their positions wait in a heap, and the least one is
@@ -183,7 +183,6 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
         incident[e.u][i] = incident[e.v][i] = None
     pinned = {v.id for v in tree.vertices if v.genus} | {a.vertex for a in tree.arrows}
     worklist = [i for i, v in enumerate(tree.vertices) if v.weight == -1]  # sorted: a heap
-    det = abs(eliminate(tree).determinant)
     while len(weight) > 1 and worklist:
         vid = order[heapq.heappop(worklist)]
         if weight.get(vid) != -1 or vid in pinned or len(incident[vid]) > 2:
@@ -213,7 +212,7 @@ def blow_down(tree: PlumbingTree) -> PlumbingTree:
               Vertex(v.id, weight[v.id], v.genus, v.mult, v.flipped, v.origin)
               for v in tree.vertices if v.id in weight),
         tuple(e for e in edges if e is not None), tree.arrows)
-    after = abs(eliminate(out).determinant)
+    det, after = abs(eliminate(tree).determinant), abs(eliminate(out).determinant)
     if after != det:
         raise BalanceError(f"blow-down changed |det| from {det} to {after}")
     return out

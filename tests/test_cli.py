@@ -602,6 +602,48 @@ def test_invariants_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsys, f
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_numbers_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsys, fmt):
+    """A genus of 10^4000 gives K^2 of 8001 digits: ``pipeline`` names it
+    before any format is rendered, exit 1 and no output file, not a
+    ValueError."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not 0 < limit < 8001:
+        pytest.skip(f"this interpreter converts {limit or 'any number of'} digits")
+    path, out_path = tmp_path / "big_genus.txt", tmp_path / "out.txt"
+    path.write_text(f"vertex 1 weight=-1 genus={10**4000}\narrow 1 side=f\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "pipeline", str(path), "-r", "2", "--format", fmt,
+                             "-o", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == (f"error [pipeline] K_squared: an integer of 8001 digits, more than "
+                   f"the {limit} that Python converts to text\n")
+    assert not out_path.exists()
+
+
+def test_every_json_output_is_the_standard_indent_2_text(tmp_path, capsys):
+    """The six stage documents, ``invariants --format json`` and the
+    pipeline report are what ``json.dumps(doc, indent=2)`` writes."""
+    def outputs():
+        for name, r in (("ex1", 3), ("ex3", 5), ("cusp", 5)):
+            src = str(DATA / f"{name}.txt")
+            yield ["pipeline", src, "-r", str(r), "--blow-down", "--format", "json"]
+            yield ["pipeline", src, "-r", str(r), "--keep-arrows", "--format", "json"]
+            for argv in (["step1", src], ["nielsen", "mp.json"], ["power", "n.json", "-r", str(r)],
+                         ["waldhausen", "nr.json"], ["plumbing", "w.json", "--keep-arrows"],
+                         ["plumbing", "w.json"], ["invariants", "tree.json", "--format", "json"]):
+                yield [argv[0]] + [str(tmp_path / a) if a.endswith(".json") else a
+                                   for a in argv[1:]]
+
+    stage_files = {"step1": "mp.json", "nielsen": "n.json", "power": "nr.json",
+                   "waldhausen": "w.json", "plumbing": "tree.json"}
+    for argv in outputs():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+        if argv[0] in stage_files:
+            (tmp_path / stage_files[argv[0]]).write_text(out, encoding="utf-8")
+
+
 # -- one parser per process ---------------------------------------------------
 
 def _main_as_fresh(argv):

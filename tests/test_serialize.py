@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
@@ -30,7 +31,7 @@ from susplink.pipeline import run_pipeline
 from susplink.power import power_nielsen
 from susplink.report import obstructions_to_dict
 from susplink.resolve import subtract_and_normalize
-from susplink.serialize import frac_str, from_dict, from_json, to_dict, to_dot, to_json
+from susplink.serialize import dumps, frac_str, from_dict, from_json, to_dict, to_dot, to_json
 from susplink.synthesis import synth_plumbing
 from susplink.waldhausen import nielsen_to_waldhausen
 
@@ -277,6 +278,39 @@ def test_from_json_fuzz_ends_in_graph_or_plumbing_error(doc):
     except PlumbingError:
         return
     assert to_dict(graph)["schema"] == doc["schema"]
+
+
+# ---------------------------------------------------------------------------
+# the indent-2 writer
+# ---------------------------------------------------------------------------
+
+_TEXT = st.text(st.one_of(st.characters(), st.characters(max_codepoint=0x1f),
+                          st.characters(categories=["Cs"])))  # control, lone surrogate
+_SCALARS = st.one_of(_TEXT, st.integers(), st.integers(-10**4000, 10**4000),
+                     st.sampled_from([10**4000, -10**4000]), st.booleans(), st.none())
+_DOCS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(_TEXT, inner, max_size=4)), max_leaves=20)
+
+
+@settings(max_examples=500)
+@given(_DOCS)
+def test_dumps_is_the_standard_indent_2_output(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1}, 0.5])
+def test_dumps_rejects_other_types(value):
+    for doc in (value, [1, value], {"a": {"b": value}}):
+        with pytest.raises(TypeError):
+            dumps(doc)
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parent / "golden").glob("*.json")),
+                         ids=lambda path: path.name)
+def test_golden_documents_are_written_by_dumps(path):
+    text = path.read_text(encoding="utf-8")
+    assert text == dumps(json.loads(text)) + "\n"
 
 
 # ---------------------------------------------------------------------------

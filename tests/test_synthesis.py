@@ -268,7 +268,8 @@ def test_blow_down_builds_one_tree(monkeypatch):
 
 
 def test_blow_down_eliminates_twice(monkeypatch):
-    """199 blow-downs, one elimination at the start and one at the end."""
+    """199 blow-downs, one elimination of the input and one of the result,
+    both after the last step."""
     calls = []
 
     def counting(graph, rhs=None):
@@ -279,6 +280,29 @@ def test_blow_down_eliminates_twice(monkeypatch):
     reduced = blow_down(_chain([-1] + [-2] * 199))
     assert reduced == PlumbingTree((Vertex(200, -1),))
     assert calls == [200, 1]
+
+
+@pytest.mark.parametrize("tree,calls", [
+    (_chain([-2, -3, -2]), []),  # no -1 vertex
+    # each -1 vertex held by its genus or by an arrow
+    (PlumbingTree((Vertex(1, -1, 1), Vertex(2, -1)), (Edge(1, 2),), (Arrow(2),)), []),
+    (PlumbingTree((Vertex(1, -1),)), []),  # a last vertex is never removed
+    (_chain([-3, -1, -3]), [3, 2]),
+])
+def test_blow_down_eliminates_only_when_a_vertex_goes(monkeypatch, tree, calls):
+    """A tree from which no vertex is blown down comes back unchanged
+    without an elimination; one blow-down compares |det| of the input and
+    of the result, two eliminations."""
+    seen = []
+
+    def counting(graph, rhs=None):
+        seen.append(len(graph.vertices))
+        return eliminate(graph, rhs)
+
+    monkeypatch.setattr(synthesis, "eliminate", counting)
+    reduced = blow_down(tree)
+    assert (reduced is tree) == (not calls)
+    assert seen == calls
 
 
 @st.composite
