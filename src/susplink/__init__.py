@@ -58,6 +58,7 @@ from .invariants import (
     laufer_steenbrink,
     negative_definite,
     obstruction_report,
+    waldhausen_form,
     wedge_count,
 )
 from .nielsen import Decomposition, EdgeChain, StalkChain, build_nielsen, decompose

@@ -37,6 +37,22 @@ def neg_cf_expand(num: int, den: int) -> list[int]:
     return entries
 
 
+def hj_length(num: int, den: int) -> tuple[int, int]:
+    """Length k and excess s = sum(b_i - 2) of ``neg_cf_expand(num, den)``,
+    1 <= den < num coprime, in O(log num) steps: num - den is fixed along a
+    run of 2's, so a run of den // (num - den) of them is one step."""
+    k = s = 0
+    while den:
+        d = num - den
+        if d <= den:
+            t = den // d
+            k, num, den = k + t, num - t * d, den - t * d
+        else:
+            b = -(-num // den)
+            k, s, num, den = k + 1, s + b - 2, den, b * den - num
+    return k, s
+
+
 def neg_cf_eval(entries) -> tuple[int, int]:
     """Evaluate [b_1, ..., b_k] exactly, returning a reduced (num, den), den > 0.
 

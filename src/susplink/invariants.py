@@ -13,12 +13,14 @@ complex singularity.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
+from .contfrac import neg_cf_expand
 from .errors import MonodromyError, PlumbingError
 from .exactlinalg import Elimination, eliminate
-from .graphs import MultPlumbing, PlumbingTree
+from .graphs import MultPlumbing, PlumbingTree, WaldhausenGraph
+from .synthesis import Chain, node_balance, waldhausen_chains
 
 __all__ = [
     "adjunction_system",
@@ -35,6 +37,8 @@ __all__ = [
     "determinant",
     "negative_definite",
     "form_invariants",
+    "WaldhausenForm",
+    "waldhausen_form",
     "ObstructionReport",
     "obstruction_report",
 ]
@@ -120,11 +124,12 @@ class LauferSteenbrink(NamedTuple):
 def laufer_steenbrink(tree: PlumbingTree, chi_fibre_F: int) -> LauferSteenbrink:
     """Mod-12 smoothing congruence; inapplicable when K is not integral."""
     K = canonical_class(tree)
-    return _congruence(K, chi_resolution(tree) + k_squared(tree, K), chi_fibre_F)
+    return _congruence(is_num_gorenstein(K), chi_resolution(tree) + k_squared(tree, K),
+                       chi_fibre_F)
 
 
-def _congruence(K, right_raw: Fraction, chi_fibre_F: int) -> LauferSteenbrink:
-    if not is_num_gorenstein(K):
+def _congruence(gorenstein: bool, right_raw: Fraction, chi_fibre_F: int) -> LauferSteenbrink:
+    if not gorenstein:
         return LauferSteenbrink(False, None, None, None)
     left = chi_fibre_F % 12
     right = int(right_raw) % 12
@@ -155,6 +160,100 @@ def form_invariants(tree: PlumbingTree) -> dict:
     }
 
 
+class WaldhausenForm(NamedTuple):
+    determinant: int
+    negative_definite: bool
+    K_squared: Fraction
+    numerically_gorenstein: bool
+    chi_resolution: int
+    denominator: int            # the least D > 0 with D*Y integral on the nodes
+    Y: dict[int, int]           # D*Y on each node, Y = K + 1, in the order of w.vertices
+    y1: tuple[int | None, ...]  # alpha*D*Y on each chain's first vertex, None if empty
+    chains: tuple[Chain, ...]   # in the order of ``waldhausen_chains``
+
+
+def waldhausen_form(w: WaldhausenGraph) -> WaldhausenForm:
+    """det, negative-definiteness, K^2, the numerically-Gorenstein test and
+    chi(resolution) of ``synth_plumbing(w)``, in O(chains * log alpha).
+
+    A chain [b_1, ..., b_k] = alpha/q (b_i >= 2) enters the form A only by
+    its Schur complement (Neumann 1981; Eisenbud-Neumann 1985): on the nodes
+    S_uu = w_u + sum of q/alpha over the chain ends at u (q_far at a far
+    end), S_uv gains 1/alpha per chain from u to v and 1 per empty one,
+    det A = det S * prod((-1)^k * alpha), and A < 0 iff S < 0.  Y = K + 1
+    has A*Y = valence - 2 + 2g, so S*Y = delta_u - 2 + 2g_u - sum of 1/alpha
+    over the leaf chains at u, a chain runs from y_1 = (q*Y_u + R)/alpha
+    (R = 1 at a leaf, Y_v on an edge), K is integral iff Y and every y_1
+    are, and K^2 = sum of K_u*d_u plus ((beta - 1)*Y_u + (beta' - 1)*R)/alpha
+    - s per chain (beta = alpha - q, beta' = alpha - q_far).  P*S, P the
+    product of the alphas, is integral with the leading minors' signs of S.
+    """
+    chains = waldhausen_chains(w)
+    weights = node_balance(w, chains)[3]
+    index = {v.id: i for i, v in enumerate(w.vertices)}
+    n, P = len(index), prod(c.alpha for c in chains)
+    rows = [[0] * (n + 1) for _ in range(n)]  # P*S with P*(S*Y) in column n
+    for i, v in enumerate(w.vertices):
+        rows[i][i], rows[i][n] = P * weights[v.id], P * (2 * v.genus - 2)
+    for node, far, a, q, q_far, _, _, _ in chains:
+        ru, u, p = rows[index[node]], index[node], P // a
+        if far is not None:
+            rv, v = rows[index[far]], index[far]
+            ru[v], rv[u], ru[n], rv[n] = ru[v] + p, rv[u] + p, ru[n] + P, rv[n] + P
+        if a > 1:
+            ru[u] += p * q
+            if far is None:
+                ru[n] += P - p
+            else:
+                rv[v] += p * q_far
+    det, definite, N, D = _bareiss(rows)
+    sum_k = sum([c.k for c in chains])
+    top = sum([(x - D) * (2 * v.genus - 2 - weights[v.id])
+               for x, v in zip(N, w.vertices)]) * P  # D*P*K^2
+    gorenstein, y1 = D == 1, []
+    for node, far, a, q, q_far, _, s, _ in chains:
+        if a == 1:
+            y1.append(None)
+            continue
+        L, R = N[index[node]], D if far is None else N[index[far]]
+        y1.append(q * L + R)
+        gorenstein = gorenstein and y1[-1] % (a * D) == 0
+        top += ((a - q - 1) * L + (a - q_far - 1) * R - s * a * D) * (P // a)
+    return WaldhausenForm(
+        det * P // P ** n * (-1 if sum_k % 2 else 1), definite, Fraction(top, D * P),
+        gorenstein, 2 * n - 2 * sum([v.genus for v in w.vertices]) + sum_k - len(w.edges),
+        D, dict(zip(index, N)), tuple(y1), tuple(chains))
+
+
+def _bareiss(rows: list[list[int]]) -> tuple[int, bool, list[int], int]:
+    """Fraction-free elimination of the n x n int matrix ``rows``, its right
+    side in column n, in place, swapping in a row below a zero pivot: det,
+    whether the leading minors alternate in sign from negative, and the
+    solution as numerators over their least positive denominator."""
+    n = len(rows)
+    sign, prev, alternating = 1, 1, True
+    for k in range(n):
+        if not rows[k][k]:
+            alternating, p = False, next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if p is None:
+                raise MonodromyError("canonical class undefined: singular intersection matrix")
+            rows[k], rows[p], sign = rows[p], rows[k], -sign
+        top, pivot = rows[k], rows[k][k]
+        alternating = alternating and (pivot < 0) == (k % 2 == 0)
+        for row in rows[k + 1:]:
+            a = row[k]
+            for j in range(k + 1, n + 1):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    # the last pivot is the determinant of the swapped rows, and x times it is integral
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        x[i] = (prev * row[n] - sum([row[j] * x[j] for j in range(i + 1, n)])) // row[i]
+    g = gcd(prev, *x) * (1 if prev > 0 else -1)
+    return sign * prev, alternating, [xi // g for xi in x], prev // g
+
+
 class ObstructionReport(NamedTuple):
     K: tuple[Fraction, ...]
     K_squared: Fraction
@@ -177,31 +276,33 @@ class ObstructionReport(NamedTuple):
     product_boundary: int | None = None
 
 
-def obstruction_report(mp: MultPlumbing, tree: PlumbingTree, r: int,
+def obstruction_report(mp: MultPlumbing, w: WaldhausenGraph, r: int,
                        product_mp: MultPlumbing | None = None) -> ObstructionReport:
-    """All obstruction invariants of one pipeline run.
-
-    ``tree`` must be the final plumbing tree (binding arrows ignored for the
-    adjunction system); the suspension fibre chi uses the join formula with
-    the same r that produced the tree.
-    """
-    form = form_invariants(tree)
+    """All obstruction invariants of one pipeline run: the form fields of
+    ``waldhausen_form(w)``, K on every vertex of ``synth_plumbing(w)`` in its
+    order, and the suspension fibre by the join formula with the same r."""
+    form = waldhausen_form(w)
     fibre = fibre_euler(mp)
     chi_F = join_euler(fibre.chi, r)
-    ls = _congruence(form["K"], form["chi_resolution"] + form["K_squared"], chi_F)
+    ls = _congruence(form.numerically_gorenstein, form.chi_resolution + form.K_squared, chi_F)
     product = fibre_euler(product_mp) if product_mp is not None else None
-    return ObstructionReport(
-        **form,
-        chi_fibre_fg=fibre.chi,
-        fibre_genus=fibre.genus,
-        fibre_boundary=fibre.boundary,
-        chi_fibre_F=chi_F,
-        wedge_spheres=wedge_count(fibre.chi, r),
-        ls_applicable=ls.applicable,
-        ls_left=ls.left,
-        ls_right=ls.right,
-        ls_congruent=ls.congruent,
-        product_chi=product.chi if product else None,
-        product_genus=product.genus if product else None,
-        product_boundary=product.boundary if product else None,
-    )
+    return ObstructionReport(  # positional, in field order
+        _canonical_class(form), form.K_squared, form.numerically_gorenstein,
+        form.chi_resolution, *fibre, chi_F, wedge_count(fibre.chi, r), *ls,
+        form.negative_definite, form.determinant, *(product or (None, None, None)))
+
+
+def _canonical_class(form: WaldhausenForm) -> tuple[Fraction, ...]:
+    """K = Y - 1 on the nodes, then along each chain from (Y_u, y_1) by the
+    recurrence on ints, over one denominator per chain."""
+    D = form.denominator
+    K = [Fraction(y - D, D) for y in form.Y.values()]
+    for c, y in zip(form.chains, form.y1):
+        if y is not None:
+            left, den = form.Y[c.node] * c.alpha, c.alpha * D
+            g = gcd(den, left, y)
+            left, y, den = left // g, y // g, den // g
+            for b in neg_cf_expand(c.alpha, c.q):
+                K.append(Fraction(y - den, den) if den > 1 else Fraction(y - 1))
+                left, y = y, b * y - left
+    return tuple(K)

@@ -90,7 +90,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
     if reduce:
         reduced = _stage("blowdown")(reduce_tree, tree)
     obstructions = _stage("invariants")(
-        obstruction_report, mp, tree_full, r, product_mp)
+        obstruction_report, mp, wald, r, product_mp)
     return PipelineResult(
         resolution=graph,
         r=r,

@@ -12,6 +12,12 @@ plus every node weight is then forced by the monodromical balance
     b_v * m_v + sum(neighbour multiplicities) + sum(arrow multiplicities) = 0
 
 whose integrality doubles as a self-check of the whole pipeline.
+
+No chain is solved as a system: b_i*x_i = x_(i-1) + x_(i+1) from x_0 = L
+at its node to R past its far end gives x_1 = (q*L + R)/alpha and
+x_k = (L + q'*R)/alpha, [b_1, ..., b_k] = alpha/q and q*q' = 1 mod alpha
+(Neumann 1981; Riemenschneider 1974).  So the node weights and the tree's
+size, which grows with r and is refused past MAX_VERTICES, come first.
 """
 
 from __future__ import annotations
@@ -19,15 +25,21 @@ from __future__ import annotations
 import heapq
 from contextlib import suppress
 from fractions import Fraction
+from typing import NamedTuple
 
-from .contfrac import neg_cf_expand
+from .contfrac import hj_length, neg_cf_expand
 from .errors import BalanceError, MonodromyError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
 from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, _two_colouring,
                      unbalanced)
 
-__all__ = ["chain_mults", "synth_plumbing", "blow_down", "normalize_edge_signs",
-           "reduce_tree", "strip_decorations", "verify_balance"]
+__all__ = ["MAX_VERTICES", "Chain", "waldhausen_chains", "node_balance", "chain_mults",
+           "synth_plumbing", "blow_down", "normalize_edge_signs", "reduce_tree",
+           "strip_decorations", "verify_balance"]
+
+# synth_plumbing refuses larger trees, whose invariants waldhausen_form gives
+MAX_VERTICES = 10**6
+_record = tuple.__new__  # a NamedTuple from all its fields, at half the cost of its __new__
 
 
 def chain_mults(weights, left_mult: int, right_mult: int = 0) -> list[int]:
@@ -71,69 +83,102 @@ def _chain_values(weights, left_mult, first):
     return values
 
 
-def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
-    """Plumbing tree whose boundary carries the open book described by ``w``,
-    with its binding arrows and every multiplicity.
+class Chain(NamedTuple):
+    """One Seifert pair of a Waldhausen graph as step 5 expands it from
+    ``node``: the chain of -b_i with [b_1, ..., b_k] = alpha/q, all
+    b_i >= 2, or the empty chain of the trivial pair alpha = 1 (k = 0)."""
+    node: int
+    far: int | None  # the node past the far end of a gluing chain, None at a leaf
+    alpha: int
+    q: int           # alpha - beta, with beta as read from ``node``
+    q_far: int       # alpha - beta', with beta' as read from the far end
+    k: int
+    s: int           # sum(b_i - 2)
+    binding: int     # +-1 on a binding arrow (-1 when reversed), 0 otherwise
 
-    Node vertices keep their Waldhausen ids and come first; chain vertices
-    get fresh ids in the order their chains are attached.  Each chain is
-    solved as it is attached, and each node weight follows from the sum of
-    its neighbour and arrow multiplicities.  The monodromical balance is
-    re-checked globally before returning.
-    """
-    # multiplicity signs of the Seifert pieces, across the eps = -1 gluings
+
+def waldhausen_chains(w: WaldhausenGraph) -> list[Chain]:
+    """The chains of ``w`` in the order step 5 attaches them (stalks, binding
+    arrows, gluing edges, each sorted), with k and s in O(log alpha).  The
+    far end reads alpha/(alpha - beta') with beta * beta' = 1 mod alpha."""
+    leaves = [(s.vertex, s.alpha, s.beta, 0) for s in sorted(w.stalks)] + [
+        (x.vertex, x.alpha, x.beta, -1 if x.reversed else 1)
+        for x in sorted(w.arrows, key=lambda x: (x.vertex, x.alpha, x.beta))]
+    chains = [Chain(node, None, 1, 1, 1, 0, 0, binding) if a == 1 else Chain(
+        node, None, a, a - beta, a - pow(beta, -1, a), *hj_length(a, a - beta), binding)
+        for node, a, beta, binding in leaves]
+    for e in sorted(w.edges, key=lambda e: (e.u, e.v, e.alpha, e.beta_u)):
+        a, q = e.alpha, e.alpha - e.beta_u
+        chains.append(Chain(e.u, e.v, 1, 1, 1, 0, 0, 0) if a == 1 else
+                      Chain(e.u, e.v, a, q, a - e.beta_v, *hj_length(a, q), 0))
+    return chains
+
+
+def node_balance(w: WaldhausenGraph, chains: list[Chain]):
+    """Multiplicity signs and multiplicities of the nodes, each chain's first
+    multiplicity and the node weights, by the chain ends in closed form
+    (module docstring): R is 0 past a stalk, the arrow's multiplicity past a
+    binding arrow and m_v past an edge; a chain is integral iff x_1 is."""
     colors, _ = _two_colouring(w.ids, [(e.u, e.v, e.eps) for e in w.edges])
     mult = {v.id: colors[v.id] * v.order for v in w.vertices}
-    # sum of the neighbour and arrow multiplicities at each node
-    terms = {v.id: 0 for v in w.vertices}
-    chain_vertices: list[Vertex] = []
-    edges: list[Edge] = []
-    arrows: list[Arrow] = []
-    next_id = max(w.ids) + 1 if w.ids else 1
-
-    def attach_chain(node: int, alpha: int, beta: int, origin: str,
-                     far_mult: int = 0) -> tuple[int, int]:
-        """Chain of -neg_cf_expand(alpha, alpha - beta) hanging off ``node``,
-        empty for the trivial pair alpha = 1, with ``far_mult`` past its far
-        end; returns the id and the multiplicity of its last vertex, which
-        is ``node`` itself when the chain is empty."""
-        nonlocal next_id
-        weights = [-b for b in neg_cf_expand(alpha, alpha - beta)] if alpha > 1 else []
-        values = [mult[node], *chain_mults(weights, mult[node], far_mult), far_mult]
-        terms[node] += values[1]
-        prev = node
-        for i, (wt, m) in enumerate(zip(weights, values[1:])):
-            chain_vertices.append(Vertex(next_id, wt, 0, m, False, f"{origin}[{i + 1}]"))
-            edges.append(Edge(prev, next_id))
-            prev = next_id
-            next_id += 1
-        return prev, values[-2]
-
-    for s in sorted(w.stalks, key=lambda s: (s.vertex, s.alpha, s.beta)):
-        attach_chain(s.vertex, s.alpha, s.beta, f"stalk ({s.alpha},{s.beta}) of {s.vertex}")
-    for a in sorted(w.arrows, key=lambda a: (a.vertex, a.alpha, a.beta)):
-        sign = -colors[a.vertex] if a.reversed else colors[a.vertex]
-        last, _ = attach_chain(a.vertex, a.alpha, a.beta,
-                               f"arrow ({a.alpha},{a.beta}) of {a.vertex}", sign)
-        arrows.append(Arrow(last, sign, "binding"))
-    for e in sorted(w.edges, key=lambda e: (e.u, e.v, e.alpha, e.beta_u)):
-        last, last_mult = attach_chain(
-            e.u, e.alpha, e.beta_u, f"chain ({e.alpha},{e.beta_u}) from {e.u} to {e.v}",
-            mult[e.v])
-        edges.append(Edge(last, e.v))
-        terms[e.v] += last_mult
-
-    nodes = []
+    terms = dict.fromkeys(mult, 0)  # neighbour and arrow multiplicities per node
+    firsts = []
+    for node, far, a, q, q_far, _, _, binding in chains:
+        left, right = mult[node], binding * colors[node] if far is None else mult[far]
+        first, last = right, left
+        if a > 1:
+            first, rest = divmod(q * left + right, a)
+            if rest:  # raises the BalanceError that names the chain
+                chain_mults([-b for b in neg_cf_expand(a, q)], left, right)
+            last = (left + q_far * right) // a
+        terms[node] += first
+        if far is not None:
+            terms[far] += last
+        firsts.append(first)
+    weights = {}
     for v in w.vertices:
-        weight, rest = divmod(-terms[v.id], mult[v.id])
+        weights[v.id], rest = divmod(-terms[v.id], mult[v.id])
         if rest:
             raise BalanceError(
                 f"monodromical balance failure: node {v.id} weight "
                 f"-({terms[v.id]})/({mult[v.id]}) is not integral",
                 elements=(v.id,))
-        nodes.append(Vertex(v.id, weight, v.genus, mult[v.id], colors[v.id] < 0,
-                            f"piece {v.id}"))
-    tree = PlumbingTree(tuple(nodes + chain_vertices), tuple(edges), tuple(arrows))
+    return colors, mult, firsts, weights
+
+
+def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
+    """Plumbing tree whose boundary carries the open book described by ``w``,
+    with its binding arrows and every multiplicity.
+
+    Node vertices keep their Waldhausen ids and come first; chain vertices
+    get fresh ids in the order their chains are attached.  The size (nodes
+    plus chain lengths) is checked first, the balance again at the end.
+    """
+    chains = waldhausen_chains(w)
+    size = len(w.vertices) + sum(c.k for c in chains)
+    if size > MAX_VERTICES:
+        raise UnsupportedError(f"the plumbing tree would have {size} vertices, "
+                               f"more than the {MAX_VERTICES} supported")
+    colors, mult, firsts, weights = node_balance(w, chains)
+    vertices = [Vertex(v.id, weights[v.id], v.genus, mult[v.id], colors[v.id] < 0,
+                       f"piece {v.id}") for v in w.vertices]
+    edges, arrows = [], []
+    next_id = max(w.ids, default=0) + 1
+    for (node, far, a, q, _, _, _, binding), first in zip(chains, firsts):
+        prev, before, m = node, mult[node], first
+        if a > 1:
+            origin = (f"chain ({a},{a - q}) from {node} to {far}" if far is not None else
+                      f"{'arrow' if binding else 'stalk'} ({a},{a - q}) of {node}")
+            for i, b in enumerate(neg_cf_expand(a, q), 1):
+                vertices.append(_record(Vertex, (next_id, -b, 0, m, False, f"{origin}[{i}]")))
+                edges.append(_record(Edge, (prev, next_id, 1)))
+                prev, next_id = next_id, next_id + 1
+                before, m = m, b * m - before
+        if far is not None:
+            edges.append(Edge(prev, far))
+        elif binding:
+            arrows.append(Arrow(prev, binding * colors[node], "binding"))
+    tree = PlumbingTree(tuple(vertices), tuple(edges), tuple(arrows))
     verify_balance(tree)
     return tree
 
