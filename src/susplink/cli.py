@@ -36,7 +36,7 @@ from .pipeline import StageError, _stage, run_pipeline
 from .power import power_nielsen
 from .report import render_graph_text, render_json_dict, render_text
 from .resolve import SIDE_COEFFS, parse_resolution, subtract_and_normalize
-from .serialize import dumps, frac_str, from_json, to_dot, to_json
+from .serialize import dumps, from_json, to_dot, to_json
 from .synthesis import reduce_tree, strip_decorations, synth_plumbing
 from .waldhausen import nielsen_to_waldhausen
 
@@ -163,8 +163,8 @@ def _check_digits(numbers: dict) -> None:
 
 def _invariants_output(form: dict, fmt: str) -> str:
     _check_digits({name: form[name] for name in ("determinant", "K_squared", "K")})
-    K = [frac_str(k) for k in form["K"]]
-    data = {**form, "K": K, "K_squared": frac_str(form["K_squared"])}
+    K = [*map(str, form["K"])]
+    data = {**form, "K": K, "K_squared": str(form["K_squared"])}
     if fmt == "json":
         return dumps({"schema": "susplink/invariants:1", **data}) + "\n"
     data["K"] = "(" + ", ".join(K) + ")"

@@ -11,7 +11,7 @@ from .graphs import (
 )
 from .invariants import ObstructionReport
 from .pipeline import PipelineResult
-from .serialize import element_dicts, frac_str, to_dict
+from .serialize import element_dicts, to_dict
 
 REPORT_SCHEMA = "susplink/report:1"
 # the stage graphs of a report, in pipeline order; blowdown only when run
@@ -47,9 +47,9 @@ def describe_nielsen(n: NielsenGraph) -> list[str]:
         lines.append(f"  stalk at {s.vertex}: {_val(s.lam, s.sigma)}")
     for b in n.boundary_stalks:
         lines.append(f"  boundary-stalk at {b.vertex}: {_val(b.lam, b.sigma)}"
-                     f" twist {frac_str(b.twist)}")
+                     f" twist {b.twist!s}")
     for e in n.edges:
-        lines.append(f"  edge {e.u} -- {e.v}: twist {frac_str(e.twist)}, "
+        lines.append(f"  edge {e.u} -- {e.v}: twist {e.twist!s}, "
                      f"{_val(e.lam_u, e.sigma_u)} | {_val(e.lam_v, e.sigma_v)}")
     return lines
 
@@ -72,27 +72,24 @@ def describe_waldhausen(w: WaldhausenGraph) -> list[str]:
 
 def describe_plumbing(tree: PlumbingTree) -> list[str]:
     lines = []
-    for v in tree.vertices:
-        extra = []
-        if v.genus:
-            extra.append(f"genus {v.genus}")
-        if v.mult is not None:
-            extra.append(f"m = {v.mult}")
-        if v.origin:
-            extra.append(v.origin)
-        lines.append(f"  vertex {v.id}: weight {v.weight}"
-                     + (f" ({', '.join(extra)})" if extra else ""))
-    for e in tree.edges:
-        lines.append(f"  edge {e.u} -- {e.v}" + (" sign -1" if e.sign == -1 else ""))
-    for a in tree.arrows:
-        lines.append(f"  arrow at {a.vertex}: mult {a.mult:+d} {a.label}")
+    for vid, weight, genus, mult, _, origin in tree.vertices:
+        extra = [f"genus {genus}"] if genus else []
+        if mult is not None:
+            extra.append(f"m = {mult}")
+        if origin:
+            extra.append(origin)
+        lines.append(f"  vertex {vid}: weight {weight} ({', '.join(extra)})" if extra
+                     else f"  vertex {vid}: weight {weight}")
+    for u, v, sign in tree.edges:
+        lines.append(f"  edge {u} -- {v}" + (" sign -1" if sign == -1 else ""))
+    for vertex, mult, label in tree.arrows:
+        lines.append(f"  arrow at {vertex}: mult {mult:+d} {label}")
     return lines
 
 
 def describe_obstructions(o: ObstructionReport) -> list[str]:
-    lines = []
-    lines.append("  K = (" + ", ".join(frac_str(k) for k in o.K) + ")")
-    lines.append(f"  K^2 = {frac_str(o.K_squared)}")
+    lines = ["  K = (" + ", ".join(map(str, o.K)) + ")"]
+    lines.append(f"  K^2 = {o.K_squared!s}")
     lines.append("  numerically Gorenstein: "
                  + ("yes" if o.numerically_gorenstein else "no (K has non-integer entries)"))
     lines.append(f"  determinant = {o.determinant}, negative definite: "
@@ -116,7 +113,7 @@ def describe_obstructions(o: ObstructionReport) -> list[str]:
         verdict = "holds" if o.ls_congruent else "FAILS"
         lines.append(
             f"  mod-12 congruence: chi(fibre) = {o.chi_fibre_F} = {o.ls_left} mod 12 vs "
-            f"chi + K^2 = {frac_str(raw_right)} = {o.ls_right} mod 12 -> {verdict}")
+            f"chi + K^2 = {raw_right!s} = {o.ls_right} mod 12 -> {verdict}")
         if not o.ls_congruent:
             lines.append("  -> the open book cannot come from a smoothable "
                          "Gorenstein complex singularity")

@@ -1,7 +1,10 @@
 """Versioned JSON and DOT serialization for every pipeline graph.
 
 JSON documents carry a ``schema`` tag ("susplink/<kind>:1"); twists and
-other rationals are strings like "31/30" so the documents stay exact.
+other rationals are strings like "31/30", as ``str`` writes a Fraction, so
+the documents stay exact.  Each record type gets one writer, generated from
+its fields the first time it is written (``_writer``): it unpacks every
+record and builds each JSON object with constant keys.
 ``dumps`` writes each JSON document and report byte for byte as
 ``json.dumps(doc, indent=2)``, which is pure Python on 3.10 and 3.11, in
 half its time (ex3's r = 5 report: 360 against 720 us).  DOT output renders
@@ -19,7 +22,8 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _quote
 from typing import get_type_hints
 
-from .errors import InputError, excerpt
+from . import synthesis
+from .errors import InputError, UnsupportedError, excerpt
 from .graphs import (
     Arrow,
     BoundaryStalk,
@@ -61,45 +65,39 @@ _DOCUMENTS = {
 }
 
 
-def frac_str(x) -> str:
-    """An int or a Fraction as ``n`` or ``n/d``."""
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # to dict
 # ---------------------------------------------------------------------------
 
-_FRACTION_WRITERS = {Fraction: frac_str,
-                     tuple[Fraction, ...]: lambda xs: [frac_str(x) for x in xs]}
-
-
 @cache
-def _layout(cls) -> tuple[tuple, tuple]:
-    """The fields of ``cls`` left out while they hold their None, False or
-    "" default, and its fraction fields with their writers."""
-    hints = get_type_hints(cls)
-    return (tuple((name, d) for name, d in cls._field_defaults.items()
-                  if d is None or d is False or d == ""),
-            tuple((name, _FRACTION_WRITERS[hints[name]]) for name in cls._fields
-                  if hints[name] in _FRACTION_WRITERS))
+def _writer(cls):
+    """``element_dicts`` for ``cls``, generated from its fields as namedtuple
+    generates its code: each record unpacked, each key a constant."""
+    hints, head, tail = get_type_hints(cls), [], ""
+    for name in cls._fields:
+        value = {Fraction: f"_str({name})",
+                 tuple[Fraction, ...]: f"[*_map(_str, {name})]"}.get(hints[name], name)
+        default = cls._field_defaults.get(name, _MISSING)
+        if default is None or default is False or default == "":
+            test = "is not None" if default is None else f"!= {default!r}"
+            tail += f"\n        if {name} {test}: _d[{name!r}] = {value}"
+        elif tail:
+            tail += f"\n        _d[{name!r}] = {value}"
+        else:
+            head.append(f"{name!r}: {value}")
+    row, loop = "{" + ", ".join(head) + "}", "for " + ", ".join(cls._fields) + ", in _items"
+    source = (f"def write(_items):\n    _out = []\n    {loop}:\n        _d = {row}{tail}\n"
+              "        _out.append(_d)\n    return _out" if tail else
+              f"def write(_items):\n    return [{row} {loop}]")
+    exec(source, namespace := {"_str": str, "_map": map})
+    return namespace["write"]
 
 
 def element_dicts(cls, items) -> list[dict]:
     """Each of ``items``, all of record type ``cls``, as a JSON object:
-    fields in record order, fractions through frac_str, and a field left
-    out while it holds its None, False or "" default."""
-    omitted, fractions = _layout(cls)
-    names = cls._fields
-    out = [dict(zip(names, x)) for x in items]
-    if omitted or fractions:
-        for d in out:
-            for name, default in omitted:
-                if d[name] == default:
-                    del d[name]
-            for name, write in fractions:
-                d[name] = write(d[name])
-    return out
+    fields in record order, fractions through str, and a field left out
+    while it holds its None, False or "" default."""
+    return _writer(cls)(items)
 
 
 def to_dict(graph) -> dict:
@@ -158,7 +156,7 @@ def to_json(graph) -> str:
 # ---------------------------------------------------------------------------
 
 _JSON_TYPES = {int: (int,), int | None: (int, type(None)), bool: (bool,), str: (str,)}
-# rationals exactly as frac_str writes them
+# rationals exactly as str writes a Fraction
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
@@ -232,9 +230,12 @@ def from_dict(data: dict):
     schema = data.get("schema")
     for graph_cls, (tag, required, lists) in _DOCUMENTS.items():
         if tag == schema:
-            for key in data:
+            for key, items in data.items():  # every list counted before any record is built
                 if key != "schema" and key not in lists:
                     raise InputError(f"unknown field {excerpt(key)} in the document")
+                if type(items) is list and len(items) > synthesis.MAX_VERTICES:
+                    raise UnsupportedError(f"the document has {len(items)} {key}, "
+                                           f"more than the {synthesis.MAX_VERTICES} supported")
             return graph_cls(**{key: _list(data, key, cls, key in required)
                                 for key, cls in lists.items()})
     raise InputError(f"unknown or missing schema {excerpt(schema)}")
@@ -289,10 +290,10 @@ def to_dot(graph) -> str:
             lines.append(f'  b{i} [shape=odot, label=""];')
             lines.append(
                 f'  v{b.vertex} -- b{i} '
-                f'[label="{_valency_label(b.lam, b.sigma)} t={frac_str(b.twist)}"];')
+                f'[label="{_valency_label(b.lam, b.sigma)} t={b.twist!s}"];')
         for e in graph.edges:
             lines.append(
-                f'  v{e.u} -- v{e.v} [label="t={frac_str(e.twist)} '
+                f'  v{e.u} -- v{e.v} [label="t={e.twist!s} '
                 f'{_valency_label(e.lam_u, e.sigma_u)} | '
                 f'{_valency_label(e.lam_v, e.sigma_v)}"];')
     elif isinstance(graph, WaldhausenGraph):

@@ -37,7 +37,7 @@ __all__ = ["MAX_VERTICES", "Chain", "waldhausen_chains", "node_balance", "chain_
            "synth_plumbing", "blow_down", "normalize_edge_signs", "reduce_tree",
            "strip_decorations", "verify_balance"]
 
-# synth_plumbing refuses larger trees, whose invariants waldhausen_form gives
+# larger trees are refused by synth_plumbing (see waldhausen_form), longer lists by from_dict
 MAX_VERTICES = 10**6
 _record = tuple.__new__  # a NamedTuple from all its fields, at half the cost of its __new__
 

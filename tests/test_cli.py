@@ -361,9 +361,14 @@ def test_side_flag(capsys):
      ["pipeline", "-r", "3", "--keep-arrows", "--blow-down", "--format", "json"]),
     ("ex2_r2_keep_arrows.json",
      ["pipeline", "-r", "2", "--keep-arrows", "--blow-down", "--format", "json"]),
+    # at size: chains up to 27 (ex3, K over 211) and 70 (cusp) vertices long
+    ("ex3_r211_report.json", ["pipeline", "-r", "211", "--format", "json"]),
+    ("ex3_r211_report.txt", ["pipeline", "-r", "211"]),
+    ("cusp_r401_f_report.txt", ["pipeline", "-r", "401", "--side", "f"]),
 ])
 def test_golden_outputs(capsys, name, argv):
-    """Byte-for-byte stability of the reports for the three worked examples."""
+    """Byte-for-byte stability of the reports for the three worked examples,
+    and of the mixed ex3 and the cusp at the sizes of the large-r benchmark."""
     source = DATA / (name.split("_")[0] + ".txt")
     cmd = argv[:1] + [str(source)] + argv[1:]
     code, out, _ = run_cli(capsys, *cmd)

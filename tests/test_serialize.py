@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import read_input
-from susplink.errors import InputError, PlumbingError
+from susplink import synthesis
+from susplink.cli import main
+from susplink.errors import InputError, PlumbingError, UnsupportedError
 from susplink.graphs import (
     Arrow,
     BoundaryStalk,
@@ -31,7 +33,7 @@ from susplink.pipeline import run_pipeline
 from susplink.power import power_nielsen
 from susplink.report import obstructions_to_dict
 from susplink.resolve import subtract_and_normalize
-from susplink.serialize import dumps, frac_str, from_dict, from_json, to_dict, to_dot, to_json
+from susplink.serialize import dumps, element_dicts, from_dict, from_json, to_dict, to_dot, to_json
 from susplink.synthesis import synth_plumbing
 from susplink.waldhausen import nielsen_to_waldhausen
 
@@ -65,12 +67,10 @@ def test_twists_serialized_exactly(ex1_graph):
     assert data["boundary_stalks"][0]["twist"] == "-1/10"
 
 
-def test_frac_str():
-    from fractions import Fraction
-
-    assert frac_str(Fraction(31, 30)) == "31/30"
-    assert frac_str(Fraction(-33)) == "-33"
-    assert frac_str(5) == "5"
+def test_fractions_are_written_as_n_or_n_over_d():
+    edges = [NielsenEdge(1, 2, twist, 2, 1, 2, 1)
+             for twist in (Fraction(31, 30), Fraction(-33), 5)]
+    assert [d["twist"] for d in element_dicts(NielsenEdge, edges)] == ["31/30", "-33", "5"]
 
 
 def test_dot_nielsen_labels(ex1_graph):
@@ -160,6 +160,30 @@ _PLUMBING = {"schema": "susplink/plumbing:1",
              "edges": [{"u": 1, "v": 2}]}
 
 
+@pytest.mark.parametrize("vertices,edges,counted", [
+    (4, 0, "4 vertices"), (3, 4, "4 edges"), (1, 0, None), (3, 2, None),
+])
+def test_document_lists_are_counted_before_any_record_is_built(monkeypatch, capsys, tmp_path,
+                                                              vertices, edges, counted):
+    """Each list of a document is held to synthesis.MAX_VERTICES entries,
+    counted before any record is built: an item that is not even an object
+    is not reached."""
+    monkeypatch.setattr(synthesis, "MAX_VERTICES", 3)
+    doc = {"schema": "susplink/plumbing:1",
+           "vertices": [{"id": i, "weight": -2} for i in range(1, vertices + 1)],
+           "edges": [{"u": i, "v": i + 1} for i in range(1, edges + 1)]}
+    if counted is None:
+        assert len(from_dict(doc).vertices) == vertices
+        return
+    message = f"the document has {counted}, more than the 3 supported"
+    with pytest.raises(UnsupportedError, match=f"^{message}$"):
+        from_dict({**doc, "vertices": doc["vertices"][:-1] + ["not an object"]})
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["invariants", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error [invariants] {message}\n")
+
+
 @pytest.mark.parametrize("doc,message", [
     ({**_PLUMBING, "vertices": [{"id": 1, "weight": -2, "genu": 1}, {"id": 2, "weight": -2}]},
      "unknown field 'genu' in vertices[0]"),
@@ -184,7 +208,7 @@ def test_unknown_keys_are_rejected(doc, message):
 
 @pytest.mark.parametrize("twist", ["1e-3", "0.5", 0.5, "1/0", " 1", "+1", "1/-2", True, "\u0663"])
 def test_fraction_fields_take_only_n_or_n_over_d(twist):
-    """A rational field reads an int or a string as frac_str writes it,
+    """A rational field reads an int or a string as str writes a Fraction,
     nothing else: no exponents, no decimals, no JSON floats."""
     doc = {"schema": "susplink/nielsen:1", "vertices": [{"id": 1, "order": 2}],
            "boundary_stalks": [{"vertex": 1, "lam": 2, "sigma": 1, "twist": twist}]}
@@ -334,9 +358,9 @@ def _check_writer_rule(x, d: dict) -> None:
         if name in d:
             value = getattr(x, name)
             if isinstance(value, Fraction):
-                value = frac_str(value)
+                value = str(value)
             elif isinstance(value, tuple):
-                value = [frac_str(k) for k in value]
+                value = [str(k) for k in value]
             assert d[name] == value
 
 
