@@ -79,7 +79,6 @@ from .synthesis import (
     reduce_tree,
     strip_decorations,
     synth_plumbing,
-    verify_balance,
 )
 from .waldhausen import nielsen_to_waldhausen
 

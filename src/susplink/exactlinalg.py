@@ -1,8 +1,10 @@
 """One sparse exact elimination of the intersection form of a plumbing graph.
 
-The form has the vertex weights on the diagonal and the signed edge counts
-off it.  A leaf pass first strips, while there is one, a vertex with at most
-one off-diagonal entry and a nonzero reduced diagonal, changing only its
+The form has the vertex weights on the diagonal and the summed edge signs
+off it.  A sign may be any int: +-1 on a plumbing edge, P/alpha on the
+node form of a Waldhausen graph (``invariants.waldhausen_form``).  A leaf
+pass first strips, while there is one, a vertex with at most one
+off-diagonal entry and a nonzero reduced diagonal, changing only its
 neighbour: on a tree that is almost every vertex (Parter 1961).  What is
 left (cycles, parallel edges, zero diagonals) goes least degree first and
 fills in as it needs.  The pivots give the determinant (their product) and
@@ -50,9 +52,9 @@ class Elimination(NamedTuple):
 
 def eliminate(graph, rhs=None) -> Elimination:
     """Eliminate the form of ``graph`` (vertices with ``id`` and ``weight``,
-    edges with ``u``, ``v`` and ``sign``); with ``rhs`` (ints or Fractions,
-    one per vertex) also solve form @ x = rhs, raising MonodromyError if the
-    form is singular.
+    edges with ``u`` != ``v`` and ``sign``, an int off-diagonal entry that
+    parallel edges add to); with ``rhs`` (ints or Fractions, one per vertex)
+    also solve form @ x = rhs, raising MonodromyError if the form is singular.
 
     After the leaf pass, the pivot is the least-degree vertex whose reduced
     diagonal is nonzero, else a 2x2 block on a nonzero off-diagonal entry;

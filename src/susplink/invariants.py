@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .contfrac import neg_cf_expand
 from .errors import MonodromyError, PlumbingError
 from .exactlinalg import Elimination, eliminate
-from .graphs import MultPlumbing, PlumbingTree, WaldhausenGraph
+from .graphs import Edge, MultPlumbing, PlumbingTree, Vertex, WaldhausenGraph
 from .synthesis import Chain, node_balance, waldhausen_chains
 
 __all__ = [
@@ -48,8 +49,14 @@ def adjunction_system(tree: PlumbingTree) -> Elimination:
     """One elimination of the adjunction system A*K = d with
     d_v = -b_v - 2 + 2*g_v: its solution is the canonical class K, in the
     order of ``tree.vertices``, and it also gives det A and definiteness."""
+    return _solve(tree, _adjunction_rhs(tree))
+
+
+def _solve(graph, rhs) -> Elimination:
+    """``eliminate(graph, rhs)``, a singular form named as the canonical
+    class it leaves undefined."""
     try:
-        return eliminate(tree, _adjunction_rhs(tree))
+        return eliminate(graph, rhs)
     except MonodromyError as exc:
         raise MonodromyError(
             "canonical class undefined: singular intersection matrix") from exc
@@ -185,29 +192,38 @@ def waldhausen_form(w: WaldhausenGraph) -> WaldhausenForm:
     over the leaf chains at u, a chain runs from y_1 = (q*Y_u + R)/alpha
     (R = 1 at a leaf, Y_v on an edge), K is integral iff Y and every y_1
     are, and K^2 = sum of K_u*d_u plus ((beta - 1)*Y_u + (beta' - 1)*R)/alpha
-    - s per chain (beta = alpha - q, beta' = alpha - q_far).  P*S, P the
-    product of the alphas, is integral with the leading minors' signs of S.
+    - s per chain (beta = alpha - q, beta' = alpha - q_far).  A chain from a
+    node to itself has both ends there: it adds 2/alpha to S_uu and 2 to
+    delta_u.  P*S, P the product of the alphas, is an int form with the
+    definiteness of S, and ``eliminate`` solves it as a graph on the nodes.
     """
     chains = waldhausen_chains(w)
     weights = node_balance(w, chains)[3]
-    index = {v.id: i for i, v in enumerate(w.vertices)}
-    n, P = len(index), prod(c.alpha for c in chains)
-    rows = [[0] * (n + 1) for _ in range(n)]  # P*S with P*(S*Y) in column n
-    for i, v in enumerate(w.vertices):
-        rows[i][i], rows[i][n] = P * weights[v.id], P * (2 * v.genus - 2)
+    P = prod(c.alpha for c in chains)
+    diagonal = {v.id: P * weights[v.id] for v in w.vertices}  # P*S
+    rhs = {v.id: P * (2 * v.genus - 2) for v in w.vertices}    # P*(S*Y)
+    edges = []
     for node, far, a, q, q_far, _, _, _ in chains:
-        ru, u, p = rows[index[node]], index[node], P // a
-        if far is not None:
-            rv, v = rows[index[far]], index[far]
-            ru[v], rv[u], ru[n], rv[n] = ru[v] + p, rv[u] + p, ru[n] + P, rv[n] + P
+        p = P // a
         if a > 1:
-            ru[u] += p * q
-            if far is None:
-                ru[n] += P - p
-            else:
-                rv[v] += p * q_far
-    det, definite, N, D = _bareiss(rows)
-    sum_k = sum([c.k for c in chains])
+            diagonal[node] += p * q
+        if far is None:
+            rhs[node] += P - p
+            continue
+        if a > 1:
+            diagonal[far] += p * q_far
+        rhs[node] += P
+        rhs[far] += P
+        if far == node:
+            diagonal[node] += 2 * p
+        else:
+            edges.append(Edge(node, far, p))
+    form = _solve(SimpleNamespace(vertices=[Vertex(*x) for x in diagonal.items()],
+                                  edges=edges), list(rhs.values()))
+    D = lcm(*(y.denominator for y in form.solution))
+    N = [y.numerator * (D // y.denominator) for y in form.solution]
+    n, sum_k = len(N), sum([c.k for c in chains])
+    Y = dict(zip(diagonal, N))
     top = sum([(x - D) * (2 * v.genus - 2 - weights[v.id])
                for x, v in zip(N, w.vertices)]) * P  # D*P*K^2
     gorenstein, y1 = D == 1, []
@@ -215,43 +231,15 @@ def waldhausen_form(w: WaldhausenGraph) -> WaldhausenForm:
         if a == 1:
             y1.append(None)
             continue
-        L, R = N[index[node]], D if far is None else N[index[far]]
+        L, R = Y[node], D if far is None else Y[far]
         y1.append(q * L + R)
         gorenstein = gorenstein and y1[-1] % (a * D) == 0
         top += ((a - q - 1) * L + (a - q_far - 1) * R - s * a * D) * (P // a)
     return WaldhausenForm(
-        det * P // P ** n * (-1 if sum_k % 2 else 1), definite, Fraction(top, D * P),
-        gorenstein, 2 * n - 2 * sum([v.genus for v in w.vertices]) + sum_k - len(w.edges),
-        D, dict(zip(index, N)), tuple(y1), tuple(chains))
-
-
-def _bareiss(rows: list[list[int]]) -> tuple[int, bool, list[int], int]:
-    """Fraction-free elimination of the n x n int matrix ``rows``, its right
-    side in column n, in place, swapping in a row below a zero pivot: det,
-    whether the leading minors alternate in sign from negative, and the
-    solution as numerators over their least positive denominator."""
-    n = len(rows)
-    sign, prev, alternating = 1, 1, True
-    for k in range(n):
-        if not rows[k][k]:
-            alternating, p = False, next((i for i in range(k + 1, n) if rows[i][k]), None)
-            if p is None:
-                raise MonodromyError("canonical class undefined: singular intersection matrix")
-            rows[k], rows[p], sign = rows[p], rows[k], -sign
-        top, pivot = rows[k], rows[k][k]
-        alternating = alternating and (pivot < 0) == (k % 2 == 0)
-        for row in rows[k + 1:]:
-            a = row[k]
-            for j in range(k + 1, n + 1):
-                row[j] = (row[j] * pivot - a * top[j]) // prev
-        prev = pivot
-    # the last pivot is the determinant of the swapped rows, and x times it is integral
-    x = [0] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        x[i] = (prev * row[n] - sum([row[j] * x[j] for j in range(i + 1, n)])) // row[i]
-    g = gcd(prev, *x) * (1 if prev > 0 else -1)
-    return sign * prev, alternating, [xi // g for xi in x], prev // g
+        form.determinant * P // P ** n * (-1 if sum_k % 2 else 1), form.negative_definite,
+        Fraction(top, D * P), gorenstein,
+        2 * n - 2 * sum([v.genus for v in w.vertices]) + sum_k - len(w.edges),
+        D, Y, tuple(y1), tuple(chains))
 
 
 class ObstructionReport(NamedTuple):

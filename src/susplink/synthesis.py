@@ -9,15 +9,15 @@ the far end of its chain.  Multiplicity signs of the node fibres are fixed
 by a 2-coloring across the eps = -1 gluings, and every chain multiplicity
 plus every node weight is then forced by the monodromical balance
 
-    b_v * m_v + sum(neighbour multiplicities) + sum(arrow multiplicities) = 0
-
-whose integrality doubles as a self-check of the whole pipeline.
+    b_v * m_v + sum(neighbour multiplicities) + sum(arrow multiplicities) = 0.
 
 No chain is solved as a system: b_i*x_i = x_(i-1) + x_(i+1) from x_0 = L
 at its node to R past its far end gives x_1 = (q*L + R)/alpha and
 x_k = (L + q'*R)/alpha, [b_1, ..., b_k] = alpha/q and q*q' = 1 mod alpha
 (Neumann 1981; Riemenschneider 1974).  So the node weights and the tree's
-size, which grows with r and is refused past MAX_VERTICES, come first.
+size, which grows with r and is refused past MAX_VERTICES, come first, and
+the balance holds at every vertex once each x_1 and each node weight is
+integral: the tree is not checked again after it is built.
 """
 
 from __future__ import annotations
@@ -30,12 +30,11 @@ from typing import NamedTuple
 from .contfrac import hj_length, neg_cf_expand
 from .errors import BalanceError, MonodromyError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
-from .graphs import (Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, _two_colouring,
-                     unbalanced)
+from .graphs import Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, _two_colouring
 
 __all__ = ["MAX_VERTICES", "Chain", "waldhausen_chains", "node_balance", "chain_mults",
            "synth_plumbing", "blow_down", "normalize_edge_signs", "reduce_tree",
-           "strip_decorations", "verify_balance"]
+           "strip_decorations"]
 
 # larger trees are refused by synth_plumbing (see waldhausen_form), longer lists by from_dict
 MAX_VERTICES = 10**6
@@ -152,7 +151,8 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
 
     Node vertices keep their Waldhausen ids and come first; chain vertices
     get fresh ids in the order their chains are attached.  The size (nodes
-    plus chain lengths) is checked first, the balance again at the end.
+    plus chain lengths) and the balance (``node_balance``) are checked
+    before any vertex is built.
     """
     chains = waldhausen_chains(w)
     size = len(w.vertices) + sum(c.k for c in chains)
@@ -178,19 +178,7 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
             edges.append(Edge(prev, far))
         elif binding:
             arrows.append(Arrow(prev, binding * colors[node], "binding"))
-    tree = PlumbingTree(tuple(vertices), tuple(edges), tuple(arrows))
-    verify_balance(tree)
-    return tree
-
-
-def verify_balance(tree: PlumbingTree) -> None:
-    """Global re-check that weights, multiplicities and binding arrows solve
-    the monodromical system at every vertex."""
-    bad = unbalanced(tree, {v.id: v.mult or 0 for v in tree.vertices})
-    if bad:
-        raise BalanceError(
-            "monodromical balance failure at synthesized vertices",
-            elements=bad)
+    return PlumbingTree(tuple(vertices), tuple(edges), tuple(arrows))
 
 
 def strip_decorations(tree: PlumbingTree) -> PlumbingTree:

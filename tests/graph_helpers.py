@@ -1,11 +1,12 @@
 """Views of pipeline objects that only the tests read: signed
-multiplicities of a multiplicity tree, its re-substitution check, its
+multiplicities of a multiplicity tree, its re-substitution check, the
+balance check of a synthesized plumbing tree, a multiplicity tree's
 plumbing-tree form, the weight count of a tree and the Laufer-Steenbrink
 triple."""
 
 from collections import Counter
 
-from susplink.errors import MonodromyError
+from susplink.errors import BalanceError, MonodromyError
 from susplink.graphs import MultPlumbing, PlumbingTree, Vertex, unbalanced
 
 
@@ -24,6 +25,20 @@ def verify_multiplicity_system(mp: MultPlumbing) -> None:
     if bad:
         raise MonodromyError("multiplicities do not solve the monodromical system",
                              elements=bad)
+
+
+def verify_balance(tree: PlumbingTree) -> None:
+    """Re-check that the weights, multiplicities and binding arrows of a
+    synthesized tree solve the monodromical system at every vertex.
+
+    ``synth_plumbing`` does not run it: ``node_balance`` already proves the
+    balance by testing each chain's first value and each node weight for
+    integrality (the last value of a chain follows, as q*q' = 1 mod alpha)."""
+    bad = unbalanced(tree, {v.id: v.mult or 0 for v in tree.vertices})
+    if bad:
+        raise BalanceError(
+            "monodromical balance failure at synthesized vertices",
+            elements=bad)
 
 
 def multiplicity_to_plumbing(mp: MultPlumbing) -> PlumbingTree:

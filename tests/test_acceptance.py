@@ -39,10 +39,10 @@ from susplink.resolve import (
     product_multiplicity_tree,
     subtract_and_normalize,
 )
-from susplink.synthesis import blow_down, chain_mults, synth_plumbing, verify_balance
+from susplink.synthesis import blow_down, chain_mults, synth_plumbing
 from susplink.waldhausen import nielsen_to_waldhausen
 from conftest import read_input
-from graph_helpers import ls_tuple, weight_multiset
+from graph_helpers import ls_tuple, verify_balance, weight_multiset
 from nielsen_iso import nielsen_isomorphic
 
 

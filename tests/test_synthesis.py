@@ -15,14 +15,13 @@ from susplink.synthesis import (
     reduce_tree,
     strip_decorations,
     synth_plumbing,
-    verify_balance,
 )
 from susplink.waldhausen import nielsen_to_waldhausen
 import blowdown_reference
 import chain_reference
 import normalize_reference
 from dense_linalg import determinant
-from graph_helpers import weight_multiset
+from graph_helpers import verify_balance, weight_multiset
 from test_exactlinalg import plumbing_forms
 
 

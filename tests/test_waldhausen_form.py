@@ -9,14 +9,19 @@ no code with either and still runs at r = 10^9 + 7.
 
 import time
 from fractions import Fraction
+from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from susplink import synthesis
 from susplink.cli import main
-from susplink.errors import MonodromyError, UnsupportedError
-from susplink.invariants import (_bareiss, fibre_euler, form_invariants, join_euler,
+from susplink.errors import MonodromyError, PlumbingError, UnsupportedError
+from susplink.exactlinalg import eliminate
+from susplink.graphs import (Edge, Vertex, WaldArrow, WaldEdge, WaldhausenGraph, WaldStalk,
+                             WaldVertex)
+from susplink.invariants import (_canonical_class, fibre_euler, form_invariants, join_euler,
                                  waldhausen_form)
 from susplink.nielsen import build_nielsen
 from susplink.pipeline import StageError, run_pipeline
@@ -26,6 +31,7 @@ from susplink.synthesis import synth_plumbing
 from susplink.waldhausen import nielsen_to_waldhausen
 from conftest import DATA, read_input
 from dense_linalg import determinant, is_negative_definite, solve_exact
+from graph_helpers import verify_balance
 
 RUNS = [(name, side) for name in ("ex1", "ex2", "ex3", "cusp")
         for side in ("fg", "f", "g") if (name, side) != ("cusp", "g")]
@@ -45,6 +51,7 @@ def test_form_and_K_equal_the_expanded_tree(name, side):
     text = read_input(f"{name}.txt")
     for r in range(1, 201):
         result = run_pipeline(text, r, side=side)
+        verify_balance(result.plumbing_full)
         expected = form_invariants(result.plumbing_full)
         form = waldhausen_form(result.waldhausen)
         assert {f: getattr(form, f) for f in FORM_FIELDS} == {
@@ -99,13 +106,18 @@ def test_node_integral_K_is_not_gorenstein_with_fractional_chains():
     assert not waldhausen_form(result.waldhausen).numerically_gorenstein
 
 
-def bareiss_outcome(matrix, rhs):
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+def eliminate_outcome(matrix, rhs):
+    """``eliminate`` on the symmetric ``matrix`` as a graph: the diagonal as
+    weights and one edge per nonzero upper entry, that entry as its sign."""
+    n = len(matrix)
+    graph = SimpleNamespace(
+        vertices=[Vertex(i, matrix[i][i]) for i in range(n)],
+        edges=[Edge(i, j, matrix[i][j]) for i in range(n) for j in range(i + 1, n)
+               if matrix[i][j]])
     try:
-        det, definite, x, den = _bareiss(rows)
+        return eliminate(graph, rhs)
     except MonodromyError:
         return None
-    return det, definite, [Fraction(v, den) for v in x]
 
 
 def dense_outcome(matrix, rhs):
@@ -122,7 +134,7 @@ def dense_outcome(matrix, rhs):
     ([[0, 0], [0, -1]], [1, 1]),                          # singular, zero column
 ])
 def test_node_solver_on_degenerate_forms(matrix, rhs):
-    assert bareiss_outcome(matrix, rhs) == dense_outcome(matrix, rhs)
+    assert eliminate_outcome(matrix, rhs) == dense_outcome(matrix, rhs)
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
@@ -132,7 +144,103 @@ def test_node_solver_equals_dense_linear_algebra(case):
     matrix, rhs = case
     symmetric = [[matrix[min(i, j)][max(i, j)] for j in range(len(matrix))]
                  for i in range(len(matrix))]
-    assert bareiss_outcome(symmetric, rhs) == dense_outcome(symmetric, rhs)
+    assert eliminate_outcome(symmetric, rhs) == dense_outcome(symmetric, rhs)
+
+
+def form_and_K(w):
+    form = waldhausen_form(w)
+    return {f: getattr(form, f) for f in FORM_FIELDS}, _canonical_class(form)
+
+
+def tree_form_and_K(tree):
+    expected = form_invariants(tree)
+    return {f: expected[f] for f in FORM_FIELDS}, expected["K"]
+
+
+# a (5, 4) chain from the one node to itself: [-1, -5] joined by two edges
+SELF_LOOP = WaldhausenGraph((WaldVertex(1, 6, 0, 1, 5),), (), (WaldArrow(1, 1, 0),),
+                            (WaldEdge(1, 1, 1, 5, 4, 4),))
+
+
+def test_self_loop_chain_counts_at_both_ends():
+    tree = synth_plumbing(SELF_LOOP)
+    verify_balance(tree)
+    assert [v.weight for v in tree.vertices] == [-1, -5]
+    assert [(e.u, e.v) for e in tree.edges] == [(1, 2), (2, 1)]
+    fields, K = form_and_K(SELF_LOOP)
+    assert (fields, K) == tree_form_and_K(tree)
+    assert fields["determinant"] == 1 and fields["K_squared"] == -2
+    assert fields["numerically_gorenstein"]
+
+
+@st.composite
+def waldhausen_graphs(draw):
+    """Up to three nodes with stalks, arrows and edges (parallel ones and
+    self-loops among them), the eps of each edge from drawn node colours.
+    A chain whose first value (q*m_u + R)/alpha is not integral is left
+    out, and 1 to ``order`` arrows of alpha = 1 then make every node weight
+    integral, so that ``synth_plumbing`` accepts most draws and the form is
+    seldom singular (A*m is minus the arrows' multiplicities)."""
+    n = draw(st.integers(1, 3))
+    ids = range(1, n + 1)
+    order = {i: draw(st.integers(1, 6)) for i in ids}
+    color = {i: draw(st.sampled_from((1, -1))) for i in ids}
+    m = {i: color[i] * order[i] for i in ids}
+    terms = dict.fromkeys(ids, 0)  # neighbour and arrow multiplicities per node
+
+    def pair(low):
+        alpha = draw(st.integers(low, 7))
+        return alpha, draw(st.sampled_from([b for b in range(alpha) if gcd(alpha, b) == 1]))
+
+    def chain(u, v, alpha, beta, right):
+        """Add the chain's first and last values to ``terms``, or return
+        False when they are not integral."""
+        first, last = right, m[u]
+        if alpha > 1:
+            first, rest = divmod((alpha - beta) * m[u] + right, alpha)
+            if rest:
+                return False
+            last = (m[u] + (alpha - pow(beta, -1, alpha)) * right) // alpha
+        terms[u] += first
+        if v is not None:
+            terms[v] += last
+        return True
+
+    stalks, arrows, edges = [], [], []
+    for _ in range(draw(st.integers(0, 3))):
+        u, (alpha, beta) = draw(st.sampled_from(ids)), pair(2)
+        if chain(u, None, alpha, beta, 0):
+            stalks.append(WaldStalk(u, alpha, beta))
+    for _ in range(draw(st.integers(0, 3))):
+        u, (alpha, beta), rev = draw(st.sampled_from(ids)), pair(1), draw(st.booleans())
+        if chain(u, None, alpha, beta, (-1 if rev else 1) * color[u]):
+            arrows.append(WaldArrow(u, alpha, beta, rev))
+    for _ in range(draw(st.integers(0, 4))):
+        u, v = sorted(draw(st.sampled_from(ids)) for _ in range(2))
+        alpha, beta = pair(1)
+        if chain(u, v, alpha, beta, m[v]):
+            edges.append(WaldEdge(u, v, color[u] * color[v], alpha, beta,
+                                  pow(beta, -1, alpha) if alpha > 1 else 0))
+    for i in ids:
+        arrows += [WaldArrow(i, 1, 0)] * ((-terms[i] * color[i] - 1) % order[i] + 1)
+    return WaldhausenGraph(tuple(WaldVertex(i, 0, draw(st.integers(0, 1)), 1, order[i])
+                                 for i in ids), tuple(stalks), tuple(arrows), tuple(edges))
+
+
+@given(waldhausen_graphs())
+def test_form_and_K_equal_the_expanded_tree_on_drawn_graphs(w):
+    try:
+        tree = synth_plumbing(w)
+    except PlumbingError:
+        return
+    verify_balance(tree)
+    try:
+        expected = tree_form_and_K(tree)
+    except MonodromyError:
+        with pytest.raises(MonodromyError, match="singular intersection matrix"):
+            waldhausen_form(w)
+        return
+    assert form_and_K(w) == expected
 
 
 def congruence_holds(mp, form, r):
