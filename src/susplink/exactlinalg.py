@@ -55,6 +55,7 @@ def eliminate(graph, rhs=None) -> Elimination:
     edges with ``u`` != ``v`` and ``sign``, an int off-diagonal entry that
     parallel edges add to); with ``rhs`` (ints or Fractions, one per vertex)
     also solve form @ x = rhs, raising MonodromyError if the form is singular.
+    An edge with ``u`` == ``v`` or an ``rhs`` of the wrong length is a ValueError.
 
     After the leaf pass, the pivot is the least-degree vertex whose reduced
     diagonal is nonzero, else a 2x2 block on a nonzero off-diagonal entry;
@@ -67,6 +68,8 @@ def eliminate(graph, rhs=None) -> Elimination:
     off: list[dict[int, int]] = [{} for _ in range(n)]
     for e in graph.edges:
         u, v = index[e.u], index[e.v]
+        if u == v:
+            raise ValueError(f"edge from vertex {e.u} to itself: the form has no self-loops")
         x = off[u].get(v, 0) + e.sign
         if x:
             off[u][v] = off[v][u] = x

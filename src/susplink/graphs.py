@@ -10,12 +10,15 @@ Five graph flavours move through the pipeline:
 
 All types are immutable value objects; passes are pure functions.  Graph
 elements are ``NamedTuple`` records; the five graphs are frozen dataclasses
-on one base, ``_Graph``, which holds ``ids`` and the rules all five share:
-distinct vertex ids, genus >= 0, and every edge end, arrow, stalk and
-boundary stalk on a known vertex.  Each constructor checks these first, then
-its own.  Vertex ids are the small integers assigned at parse time and are
-preserved through the passes wherever a vertex survives, so reports can be
-matched against input figures vertex by vertex.
+on one base, ``_Graph``, which holds the rules all five share: distinct
+vertex ids, genus >= 0, and every edge end, arrow, stalk and boundary stalk
+on a known vertex.  Each constructor checks these first, then its own, and
+sets what the fields fix as attributes outside the fields, which equality,
+hashing and repr do not read: ``ids`` on every graph, and on a
+``MultPlumbing`` ``valence`` (edges plus arrows per id) and ``node_ids``
+(valence >= 3 or genus >= 1).  Vertex ids are the small integers assigned
+at parse time and are preserved through the passes wherever a vertex
+survives, so reports can be matched against input figures vertex by vertex.
 
 ``unbalanced`` is the one statement of the monodromical balance
 
@@ -88,16 +91,13 @@ class Arrow(NamedTuple):
 
 @dataclass(frozen=True)
 class _Graph:
-    """Base of the five graph containers: ``ids`` and the shared checks."""
-
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(v.id for v in self.vertices)
+    """Base of the five graph containers: the shared checks, which also set
+    ``ids``, the vertex ids in vertex order."""
 
     def _check_shared(self, edges, *hung) -> None:
         """Distinct ids, genus >= 0, and the ends of ``edges`` ((u, v, ...)
         tuples) and the ``vertex`` of every element in ``hung`` known."""
-        ids = self.ids
+        self.__dict__["ids"] = ids = tuple(v.id for v in self.vertices)  # frozen: no setattr
         known = set(ids)
         if len(known) != len(ids):
             dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
@@ -292,6 +292,7 @@ class MultPlumbing(_Graph):
                 raise InputError("multiplicities must be >= 0 after normalization",
                                  elements=(v.id,))
         flipped = {v.id: v.flipped for v in self.vertices}
+        valence = dict.fromkeys(self.ids, 0)
         for e in self.edges:
             want = -1 if flipped[e.u] != flipped[e.v] else 1
             if e.sign != want:
@@ -299,21 +300,12 @@ class MultPlumbing(_Graph):
                     "edge sign must be -1 exactly when one endpoint is flipped",
                     elements=(e.u, e.v),
                 )
-
-    def valence(self) -> dict[int, int]:
-        """id -> number of edges plus arrows at the vertex."""
-        valence = dict.fromkeys(self.ids, 0)
-        for e in self.edges:
             valence[e.u] += 1
             valence[e.v] += 1
         for a in self.arrows:
             valence[a.vertex] += 1
-        return valence
-
-    def node_ids(self) -> tuple[int, ...]:
-        """Nodes: vertices with valence >= 3, or genus >= 1."""
-        valence = self.valence()
-        return tuple(v.id for v in self.vertices if valence[v.id] >= 3 or v.genus >= 1)
+        self.__dict__.update(valence=valence, node_ids=tuple(
+            v.id for v in self.vertices if valence[v.id] >= 3 or v.genus >= 1))
 
 
 # ---------------------------------------------------------------------------

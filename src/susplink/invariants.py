@@ -99,8 +99,7 @@ def fibre_euler(mp: MultPlumbing) -> FibreData:
     """Euler characteristic, genus and boundary count of the (connected)
     fibre: each piece covers its base m_v times, so
     chi = sum |m_v| * (2 - 2g_v - valence_v)."""
-    valence = mp.valence()
-    chi = sum(abs(v.m) * (2 - 2 * v.genus - valence[v.id]) for v in mp.vertices)
+    chi = sum(abs(v.m) * (2 - 2 * v.genus - mp.valence[v.id]) for v in mp.vertices)
     boundary = sum(abs(a.mult) for a in mp.arrows)
     if (2 - chi - boundary) % 2:
         raise PlumbingError(
@@ -176,7 +175,7 @@ class WaldhausenForm(NamedTuple):
     denominator: int            # the least D > 0 with D*Y integral on the nodes
     Y: dict[int, int]           # D*Y on each node, Y = K + 1, in the order of w.vertices
     y1: tuple[int | None, ...]  # alpha*D*Y on each chain's first vertex, None if empty
-    chains: tuple[Chain, ...]   # in the order of ``waldhausen_chains``
+    chains: tuple[Chain, ...]   # ``synthesis.waldhausen_chains(w)``
 
 
 def waldhausen_form(w: WaldhausenGraph) -> WaldhausenForm:
@@ -198,7 +197,7 @@ def waldhausen_form(w: WaldhausenGraph) -> WaldhausenForm:
     definiteness of S, and ``eliminate`` solves it as a graph on the nodes.
     """
     chains = waldhausen_chains(w)
-    weights = node_balance(w, chains)[3]
+    weights = node_balance(w)[3]
     P = prod(c.alpha for c in chains)
     diagonal = {v.id: P * weights[v.id] for v in w.vertices}  # P*S
     rhs = {v.id: P * (2 * v.genus - 2) for v in w.vertices}    # P*(S*Y)
@@ -239,7 +238,7 @@ def waldhausen_form(w: WaldhausenGraph) -> WaldhausenForm:
         form.determinant * P // P ** n * (-1 if sum_k % 2 else 1), form.negative_definite,
         Fraction(top, D * P), gorenstein,
         2 * n - 2 * sum([v.genus for v in w.vertices]) + sum_k - len(w.edges),
-        D, Y, tuple(y1), tuple(chains))
+        D, Y, tuple(y1), chains)
 
 
 class ObstructionReport(NamedTuple):
@@ -280,17 +279,17 @@ def obstruction_report(mp: MultPlumbing, w: WaldhausenGraph, r: int,
         form.negative_definite, form.determinant, *(product or (None, None, None)))
 
 
-def _canonical_class(form: WaldhausenForm) -> tuple[Fraction, ...]:
+def _canonical_class(form: WaldhausenForm) -> tuple[Fraction | int, ...]:
     """K = Y - 1 on the nodes, then along each chain from (Y_u, y_1) by the
-    recurrence on ints, over one denominator per chain."""
+    recurrence on ints, over one denominator per chain; integral K_v as ints."""
     D = form.denominator
-    K = [Fraction(y - D, D) for y in form.Y.values()]
+    K = [Fraction(y - D, D) if y % D else y // D - 1 for y in form.Y.values()]
     for c, y in zip(form.chains, form.y1):
         if y is not None:
             left, den = form.Y[c.node] * c.alpha, c.alpha * D
             g = gcd(den, left, y)
             left, y, den = left // g, y // g, den // g
             for b in neg_cf_expand(c.alpha, c.q):
-                K.append(Fraction(y - den, den) if den > 1 else Fraction(y - 1))
+                K.append(Fraction(y - den, den) if y % den else y // den - 1)
                 left, y = y, b * y - left
     return tuple(K)

@@ -69,7 +69,7 @@ def decompose(mp: MultPlumbing) -> Decomposition:
     Chains are walked from the node with the smaller id, so the orientation
     of every edge chain is deterministic.
     """
-    nodes = mp.node_ids()
+    nodes = mp.node_ids
     if not nodes:
         raise UnsupportedError(
             "no node: Seifert / unknot inputs are outside the supported family")

@@ -110,7 +110,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
 def _empty_chain_notes(mp: MultPlumbing) -> tuple[str, ...]:
     """Adjacent nodes carry a trivial gluing (alpha = 1); outside the
     worked-example family, so worth flagging for auditing."""
-    nodes = set(mp.node_ids())
+    nodes = set(mp.node_ids)
     return tuple(
         f"adjacent pieces {u} and {v}: empty connecting chain, "
         "gluing data alpha = 1"

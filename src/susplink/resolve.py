@@ -16,6 +16,7 @@ unflipped one.
 from __future__ import annotations
 
 from collections import Counter
+from types import SimpleNamespace
 
 from .errors import FibrednessError, InputError, MonodromyError, excerpt
 from .exactlinalg import eliminate
@@ -24,11 +25,9 @@ from .graphs import (
     Edge,
     MultPlumbing,
     MultVertex,
-    PlumbingTree,
     ResArrow,
     ResolutionGraph,
     ResVertex,
-    Vertex,
     unbalanced,
 )
 
@@ -135,21 +134,19 @@ def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
     """
     if side not in ("f", "g"):
         raise InputError(f"side must be f or g, got {side!r}")
-    tree = PlumbingTree(
-        vertices=tuple(Vertex(v.id, v.weight, v.genus) for v in graph.vertices),
-        edges=tuple(Edge(u, v) for u, v in graph.edges),
-        arrows=tuple(Arrow(a.vertex, 1) for a in graph.arrows if a.side == side),
-    )
+    system = SimpleNamespace(vertices=graph.vertices,
+                             edges=[Edge(u, v) for u, v in graph.edges],
+                             arrows=[Arrow(a.vertex) for a in graph.arrows if a.side == side])
     if graph.has_multiplicities():
         given = [v.mf if side == "f" else v.mg for v in graph.vertices]
-        bad = unbalanced(tree, dict(zip(graph.ids, given)))
+        bad = unbalanced(system, dict(zip(graph.ids, given)))
         if bad:
             raise MonodromyError(
                 f"inconsistent arrow data: supplied side-{side} multiplicities "
                 f"do not solve the monodromical system", elements=bad)
         return given
-    b = Counter(a.vertex for a in tree.arrows)
-    solution = eliminate(tree, [-b[i] for i in graph.ids]).solution
+    b = Counter(a.vertex for a in system.arrows)
+    solution = eliminate(system, [-b[i] for i in graph.ids]).solution
     if any(x.denominator != 1 for x in solution):
         raise MonodromyError(
             f"inconsistent arrow data: side-{side} system has a non-integer solution")
@@ -190,7 +187,7 @@ def _fibred_tree(graph: ResolutionGraph, side: str
         raise InputError(f"side must be one of {tuple(SIDE_COEFFS)}, got {side!r}")
     solutions = _solve_sides(graph, SIDE_COEFFS[side])
     mp = _combined_tree(graph, SIDE_COEFFS[side], solutions)
-    nodes = set(mp.node_ids())
+    nodes = set(mp.node_ids)
     violators = tuple(v.id for v in mp.vertices if v.id in nodes and v.m == 0)
     if violators:
         vanishing = "m^f = m^g" if side == "fg" else f"m^{side} = 0"

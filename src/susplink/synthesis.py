@@ -96,10 +96,13 @@ class Chain(NamedTuple):
     binding: int     # +-1 on a binding arrow (-1 when reversed), 0 otherwise
 
 
-def waldhausen_chains(w: WaldhausenGraph) -> list[Chain]:
+def waldhausen_chains(w: WaldhausenGraph) -> tuple[Chain, ...]:
     """The chains of ``w`` in the order step 5 attaches them (stalks, binding
     arrows, gluing edges, each sorted), with k and s in O(log alpha).  The
-    far end reads alpha/(alpha - beta') with beta * beta' = 1 mod alpha."""
+    far end reads alpha/(alpha - beta') with beta * beta' = 1 mod alpha.
+    Made once and kept on the (frozen) graph: step 5 and its node form share it."""
+    if "_chains" in w.__dict__:
+        return w._chains
     leaves = [(s.vertex, s.alpha, s.beta, 0) for s in sorted(w.stalks)] + [
         (x.vertex, x.alpha, x.beta, -1 if x.reversed else 1)
         for x in sorted(w.arrows, key=lambda x: (x.vertex, x.alpha, x.beta))]
@@ -110,14 +113,19 @@ def waldhausen_chains(w: WaldhausenGraph) -> list[Chain]:
         a, q = e.alpha, e.alpha - e.beta_u
         chains.append(Chain(e.u, e.v, 1, 1, 1, 0, 0, 0) if a == 1 else
                       Chain(e.u, e.v, a, q, a - e.beta_v, *hj_length(a, q), 0))
+    w.__dict__["_chains"] = chains = tuple(chains)
     return chains
 
 
-def node_balance(w: WaldhausenGraph, chains: list[Chain]):
+def node_balance(w: WaldhausenGraph):
     """Multiplicity signs and multiplicities of the nodes, each chain's first
     multiplicity and the node weights, by the chain ends in closed form
     (module docstring): R is 0 past a stalk, the arrow's multiplicity past a
-    binding arrow and m_v past an edge; a chain is integral iff x_1 is."""
+    binding arrow and m_v past an edge; a chain is integral iff x_1 is.
+    Kept like ``waldhausen_chains``, unless it raises its BalanceError."""
+    if "_balance" in w.__dict__:
+        return w._balance
+    chains = waldhausen_chains(w)
     colors, _ = _two_colouring(w.ids, [(e.u, e.v, e.eps) for e in w.edges])
     mult = {v.id: colors[v.id] * v.order for v in w.vertices}
     terms = dict.fromkeys(mult, 0)  # neighbour and arrow multiplicities per node
@@ -142,7 +150,8 @@ def node_balance(w: WaldhausenGraph, chains: list[Chain]):
                 f"monodromical balance failure: node {v.id} weight "
                 f"-({terms[v.id]})/({mult[v.id]}) is not integral",
                 elements=(v.id,))
-    return colors, mult, firsts, weights
+    w.__dict__["_balance"] = balance = colors, mult, firsts, weights
+    return balance
 
 
 def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
@@ -159,7 +168,7 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
     if size > MAX_VERTICES:
         raise UnsupportedError(f"the plumbing tree would have {size} vertices, "
                                f"more than the {MAX_VERTICES} supported")
-    colors, mult, firsts, weights = node_balance(w, chains)
+    colors, mult, firsts, weights = node_balance(w)
     vertices = [Vertex(v.id, weights[v.id], v.genus, mult[v.id], colors[v.id] < 0,
                        f"piece {v.id}") for v in w.vertices]
     edges, arrows = [], []

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -314,6 +315,16 @@ def test_zero_pivot_in_mid_chain_goes_to_the_loop():
 def test_rhs_of_the_wrong_length_is_rejected(rhs):
     with pytest.raises(ValueError, match=f"rhs has {len(rhs)} entries for a form of 3 vertices"):
         eliminate(_chain([-2, -2, -2]), rhs)
+
+
+@pytest.mark.parametrize("rhs", [None, [1, 2, 3]], ids=["form", "solve"])
+def test_edge_from_a_vertex_to_itself_is_rejected(rhs):
+    """The form has no diagonal edge entries: an edge u == v is an error that
+    names its vertex, before any elimination."""
+    graph = SimpleNamespace(vertices=_chain([-2, -2, -2]).vertices,
+                            edges=[Edge(0, 1), Edge(1, 1, -1), Edge(1, 2)])
+    with pytest.raises(ValueError, match=r"^edge from vertex 1 to itself"):
+        eliminate(graph, rhs)
 
 
 def _apply_form(tree, x):

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from susplink.cli import main
 from susplink.errors import (FibrednessError, InputError, MonodromyError, NotATreeError,
                              PlumbingError)
 from susplink.graphs import ResolutionGraph, ResVertex
@@ -152,10 +153,43 @@ def test_solve_ex2_derives_decorations(ex2_graph):
     assert [signed[i] for i in ex2_graph.ids] == [1, 2, 0, -2, -1]
 
 
+# Step 1's two MonodromyErrors: supplied multiplicities that break the
+# balance (ex1 with vertex 2's mf = 14 changed to 13 unbalances vertices 1-3),
+# and a side whose solution is not integral (-2 * m + 1 = 0).
+STEP1_ERRORS = [
+    (read_input("ex1.txt").replace("mf=14", "mf=13"),
+     "inconsistent arrow data: supplied side-f multiplicities do not solve the "
+     "monodromical system", (1, 2, 3)),
+    ("vertex 1 weight=-2\narrow 1 side=f\n",
+     "inconsistent arrow data: side-f system has a non-integer solution", ()),
+]
+
+
+def _step1_error(text):
+    with pytest.raises(MonodromyError) as info:
+        solve_monodromical(parse_resolution(text), "f")
+    return info.value.args[0], info.value.elements
+
+
 def test_supplied_multiplicities_are_verified():
-    bad = read_input("ex1.txt").replace("mf=14", "mf=13")
-    with pytest.raises(MonodromyError, match="inconsistent arrow data"):
-        solve_monodromical(parse_resolution(bad), "f")
+    text, message, elements = STEP1_ERRORS[0]
+    assert _step1_error(text) == (message, elements)
+
+
+def test_non_integer_side_solution_is_an_error():
+    text, message, elements = STEP1_ERRORS[1]
+    assert _step1_error(text) == (message, elements)
+
+
+@pytest.mark.parametrize("text, message, elements", STEP1_ERRORS,
+                         ids=["supplied", "non_integer"])
+def test_step1_monodromy_errors_through_the_cli(tmp_path, capsys, text, message, elements):
+    path = tmp_path / "graph.txt"
+    path.write_text(text, encoding="utf-8")
+    code = main(["step1", str(path)])
+    captured = capsys.readouterr()
+    named = f" (elements: {', '.join(map(str, elements))})" if elements else ""
+    assert (code, captured.out, captured.err) == (1, "", f"error [step1] {message}{named}\n")
 
 
 def test_degenerate_system():
