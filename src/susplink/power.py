@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .errors import InputError
+from . import synthesis
+from .errors import InputError, UnsupportedError
 from .graphs import (
     BoundaryStalk,
     NielsenEdge,
@@ -52,7 +53,7 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     the c copies of a vertex the first keeps its id and the others get
     fresh ids after the largest one, listed right after it; the j-th lift
     of each incidence goes to copy j mod c.  A vertex without incidences
-    stays whole.
+    stays whole.  Each list is held to ``synthesis.MAX_VERTICES`` entries.
     """
     if r < 1:
         raise InputError(f"power must be >= 1, got {r}")
@@ -64,10 +65,20 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     for vid, lam, _ in n.incidences():
         components[vid] = gcd(components[vid], order[vid] // lam)
         branch_deficits[vid] += gcd(order[vid], r) - gcd(order[vid] // lam, r)
+    orbits = {vid: gcd(d, r) if d else 1 for vid, d in components.items()}
+    stalk_lifts = [_lift_valency(order[s.vertex], r, s.lam, s.sigma) for s in n.stalks]
+    # Every list is counted before any is built: an incidence has n_i lifts.
+    for name, size in (
+            ("vertices", sum(orbits.values())),
+            ("stalks", sum(copies for copies, lam, _ in stalk_lifts if lam > 1)),
+            ("boundary_stalks", sum(gcd(order[b.vertex] // b.lam, r) for b in n.boundary_stalks)),
+            ("edges", sum(gcd(order[e.u] // e.lam_u, r) for e in n.edges))):
+        if size > synthesis.MAX_VERTICES:
+            raise UnsupportedError(f"the Nielsen graph of the power would have {size} {name}, "
+                                   f"more than the {synthesis.MAX_VERTICES} supported")
     next_id = max(order, default=0) + 1
     copies_of: dict[int, list[int]] = {}
-    for vid, d in components.items():
-        c = gcd(d, r) if d else 1
+    for vid, c in orbits.items():
         copies_of[vid] = [vid, *range(next_id, next_id + c - 1)]
         next_id += c - 1
 
@@ -75,8 +86,7 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
     # divides the lift count, so the lifts are a block of one lift per
     # copy, repeated; an edge's block has lcm(c_u, c_v) lifts.
     stalks = []
-    for s in n.stalks:
-        copies, lam, sigma = _lift_valency(order[s.vertex], r, s.lam, s.sigma)
+    for s, (copies, lam, sigma) in zip(n.stalks, stalk_lifts):
         if lam > 1:
             ids = copies_of[s.vertex]
             stalks.extend([Stalk(vid, lam, sigma) for vid in ids] * (copies // len(ids)))

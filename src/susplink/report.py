@@ -161,9 +161,7 @@ def obstructions_to_dict(o: ObstructionReport) -> dict:
     return element_dicts(ObstructionReport, (o,))[0]
 
 
-def render_json_dict(result: PipelineResult | None) -> dict:
-    if result is None:
-        return {"schema": REPORT_SCHEMA}
+def render_json_dict(result: PipelineResult) -> dict:
     stages = {name: to_dict(getattr(result, name)) for name in _STAGES
               if getattr(result, name) is not None}
     return {

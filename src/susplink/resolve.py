@@ -37,6 +37,8 @@ from .graphs import (
 SIDE_COEFFS = {"fg": {"f": 1, "g": -1}, "f": {"f": 1, "g": 0}, "g": {"f": 0, "g": 1}}
 # m = m^f + m^g: the holomorphic product germ, the mixed germ's comparison.
 PRODUCT_COEFFS = {"f": 1, "g": 1}
+# The key=value fields that each directive with an id and fields may carry.
+DIRECTIVE_FIELDS = {"vertex": ("weight", "genus", "mf", "mg"), "arrow": ("side", "mult")}
 
 
 def parse_resolution(text: str) -> ResolutionGraph:
@@ -58,13 +60,24 @@ def parse_resolution(text: str) -> ResolutionGraph:
         kind, *args = line.split()
         try:
             if kind == "vertex":
-                vertices.append(_parse_vertex(args))
+                vid, fields = _read_fields(kind, args)
+                if "weight" not in fields:
+                    raise InputError(f"vertex {vid} is missing weight=")
+                vertices.append(ResVertex(vid, **fields))
+            elif kind == "arrow":
+                vid, fields = _read_fields(kind, args)
+                side = fields.get("side")
+                if side not in ("f", "g"):
+                    raise InputError("arrow needs side=f or side=g")
+                want = 1 if side == "f" else -1
+                if fields.get("mult", want) != want:
+                    raise InputError(
+                        f"arrow mult on side {side} must be {want:+d} (orientation convention)")
+                arrows.append(ResArrow(vid, side, want))
             elif kind == "edge":
                 if len(args) != 2:
                     raise InputError("edge needs exactly two vertex ids")
                 edges.append((_int("edge end", args[0]), _int("edge end", args[1])))
-            elif kind == "arrow":
-                arrows.append(_parse_arrow(args))
             else:
                 raise InputError(f"unknown directive {excerpt(kind)}")
         except InputError as exc:
@@ -79,51 +92,24 @@ def _int(name: str, token: str) -> int:
         raise InputError(f"{name} must be an integer, got {excerpt(token)}") from None
 
 
-def _key_values(kind: str, items, names):
-    """Yield the (key, value) of each key=value item, every key one of
-    ``names`` and given at most once."""
-    seen = set()
-    for item in items:
-        if "=" not in item:
+def _read_fields(kind: str, args) -> tuple[int, dict]:
+    """The id and the key=value fields of a vertex or arrow directive:
+    every key one of ``DIRECTIVE_FIELDS[kind]`` and given at most once,
+    every value but side's an int."""
+    if not args:
+        raise InputError("vertex needs an id" if kind == "vertex" else "arrow needs a vertex id")
+    vid = _int(f"{kind} id", args[0])
+    fields: dict = {}
+    for item in args[1:]:
+        key, eq, value = item.partition("=")
+        if not eq:
             raise InputError(f"expected key=value, got {excerpt(item)}")
-        key, value = item.split("=", 1)
-        if key not in names:
+        if key not in DIRECTIVE_FIELDS[kind]:
             raise InputError(f"unknown {kind} field {excerpt(key)}")
-        if key in seen:
+        if key in fields:
             raise InputError(f"duplicate field {key!r}")
-        seen.add(key)
-        yield key, value
-
-
-def _parse_vertex(args) -> ResVertex:
-    if not args:
-        raise InputError("vertex needs an id")
-    vid = _int("vertex id", args[0])
-    fields = {"weight": None, "genus": 0, "mf": None, "mg": None}
-    for key, value in _key_values("vertex", args[1:], fields):
-        fields[key] = _int(f"field {key!r}", value)
-    if fields["weight"] is None:
-        raise InputError(f"vertex {vid} is missing weight=")
-    return ResVertex(vid, fields["weight"], fields["genus"], fields["mf"], fields["mg"])
-
-
-def _parse_arrow(args) -> ResArrow:
-    if not args:
-        raise InputError("arrow needs a vertex id")
-    vid = _int("arrow id", args[0])
-    side = mult = None
-    for key, value in _key_values("arrow", args[1:], ("side", "mult")):
-        if key == "side":
-            side = value
-        else:
-            mult = _int("field 'mult'", value)
-    if side not in ("f", "g"):
-        raise InputError("arrow needs side=f or side=g")
-    want = 1 if side == "f" else -1
-    if mult is not None and mult != want:
-        raise InputError(
-            f"arrow mult on side {side} must be {want:+d} (orientation convention)")
-    return ResArrow(vid, side, want)
+        fields[key] = value if key == "side" else _int(f"field {key!r}", value)
+    return vid, fields
 
 
 def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:

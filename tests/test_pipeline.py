@@ -79,12 +79,6 @@ def test_notes_present_for_powers(ex1_result):
     assert any("lifts with lam'" in note for note in ex1_result.notes)
 
 
-def test_empty_report_has_schema_header():
-    from susplink.report import render_json_dict
-
-    assert render_json_dict(None) == {"schema": "susplink/report:1"}
-
-
 # (x^2+y^3)*conj(x^3+y^4): the f branch meets vertex 2 where m^f < m^g, so
 # step 1 flips it and the f arrow leaves against its piece (mult -1)
 REVERSED_ARROW = """\

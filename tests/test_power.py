@@ -3,13 +3,15 @@ from math import gcd
 
 import pytest
 
+from conftest import read_input
 from nielsen_iso import nielsen_isomorphic
+from susplink import synthesis
 from susplink.errors import UnsupportedError
-from susplink.graphs import NielsenGraph, NielsenVertex, Stalk
+from susplink.graphs import BoundaryStalk, NielsenEdge, NielsenGraph, NielsenVertex, Stalk
 from susplink.nielsen import build_nielsen
 from susplink.pipeline import run_pipeline
 from susplink.power import _lift_valency, power_nielsen, valency_formula_notes
-from susplink.resolve import parse_resolution, subtract_and_normalize
+from susplink.resolve import multiplicity_trees, parse_resolution, subtract_and_normalize
 
 
 def nielsen_of(graph):
@@ -87,6 +89,68 @@ def test_power_rejects_q_gt_1():
         power_nielsen(NielsenGraph((NielsenVertex(1, 4, 0, 2),),
                                    (Stalk(1, 2, 1), Stalk(1, 2, 1))), 2)
     assert info.value.elements == (1,)
+
+
+def one_vertex(order):
+    """One piece of order ``order`` with a (1, 0) stalk: it has ``order``
+    components, so its r-th power has gcd(order, r) vertices."""
+    return NielsenGraph((NielsenVertex(1, order, 0),), (Stalk(1, 1, 0),))
+
+
+def test_oversized_power_is_refused(monkeypatch):
+    monkeypatch.setattr(synthesis, "MAX_VERTICES", 1000)
+    with pytest.raises(UnsupportedError) as info:
+        power_nielsen(one_vertex(5000), 5000)
+    assert str(info.value) == ("the Nielsen graph of the power would have 5000 vertices, "
+                               "more than the 1000 supported")
+    assert len(power_nielsen(one_vertex(5000), 1000).vertices) == 1000
+
+
+LISTS = ("vertices", "stalks", "boundary_stalks", "edges")
+
+
+def assert_bound_is_the_largest_list(n, r, monkeypatch):
+    """The power passes at a bound equal to its largest list.  One below the
+    length of any list, it is refused, and the message names the first list
+    at least that long."""
+    built = power_nielsen(n, r)
+    sizes = {key: len(getattr(built, key)) for key in LISTS}
+    monkeypatch.setattr(synthesis, "MAX_VERTICES", max(sizes.values()))
+    assert power_nielsen(n, r) == built
+    for size in set(sizes.values()) - {0}:
+        key = next(key for key in LISTS if sizes[key] >= size)
+        monkeypatch.setattr(synthesis, "MAX_VERTICES", size - 1)
+        with pytest.raises(UnsupportedError, match=f"would have {sizes[key]} {key}, "):
+            power_nielsen(n, r)
+    monkeypatch.undo()
+    return sizes
+
+
+@pytest.mark.parametrize("name, side", [
+    (name, side) for name in ("ex1", "ex2", "ex3", "cusp")
+    for side in ("fg", "f", "g") if (name, side) != ("cusp", "g")])
+def test_power_bound_is_the_largest_list(name, side, monkeypatch):
+    mp, _ = multiplicity_trees(parse_resolution(read_input(f"{name}.txt")), side)
+    n = build_nielsen(mp)
+    for r in range(2, 13):
+        assert_bound_is_the_largest_list(n, r, monkeypatch)
+
+
+# A piece of order 6 with stalks (2, 1), (3, 2), (6, 5) has one component,
+# and at r = 6 every stalk lifts to lam' = 1: a (1, 0) incidence on it lifts
+# six times, more than any other list has entries.
+PIECE = (Stalk(1, 2, 1), Stalk(1, 3, 2), Stalk(1, 6, 5))
+
+
+@pytest.mark.parametrize("n, key", [
+    (NielsenGraph((NielsenVertex(1, 6, 0),), PIECE, (BoundaryStalk(1, 1, 0, Fraction(1)),)),
+     "boundary_stalks"),
+    (NielsenGraph((NielsenVertex(1, 6, 0), NielsenVertex(2, 6, 0)),
+                  PIECE + tuple(s._replace(vertex=2) for s in PIECE),
+                  edges=(NielsenEdge(1, 2, Fraction(1), 1, 0, 1, 0),)), "edges"),
+], ids=["boundary_stalks", "edges"])
+def test_power_bound_on_lifted_incidences(n, key, monkeypatch):
+    assert assert_bound_is_the_largest_list(n, 6, monkeypatch)[key] == 6
 
 
 def test_valency_audit_notes(ex1_graph):

@@ -15,6 +15,7 @@ from susplink.resolve import (
 )
 from conftest import read_input
 from graph_helpers import signed_mults, verify_multiplicity_system
+import parser_reference
 
 
 def test_parse_ex1_weights(ex1_graph):
@@ -70,6 +71,24 @@ def test_parse_rejects_a_negative_genus():
 
 
 @pytest.mark.parametrize("text,message", [
+    ("vertex\n", "line 1: vertex needs an id"),
+    ("vertex 1 weight=-1\n\narrow  # no id\n", "line 3: arrow needs a vertex id"),
+    ("vertex 1 weight=-1\narrow x side=f\n", "line 2: arrow id must be an integer, got 'x'"),
+    ("vertex 1 weight=-1\nvertex 2 weight=-2\nedge 1 2 1\n",
+     "line 3: edge needs exactly two vertex ids"),
+    ("vertex 1 weight=-1\nvertex 3 genus=0 mf=1\n", "line 2: vertex 3 is missing weight="),
+    ("vertex 1 weight=-1\narrow 1 mult=1\n", "line 2: arrow needs side=f or side=g"),
+    ("vertex 1 weight=-1\narrow 1 side=g mult=1\n",
+     "line 2: arrow mult on side g must be -1 (orientation convention)"),
+], ids=["vertex_id", "arrow_id", "arrow_id_int", "edge_ends", "weight", "side", "orientation"])
+def test_parse_directive_errors(text, message):
+    """Each directive error names its line and reads in full."""
+    with pytest.raises(InputError) as info:
+        parse_resolution(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text,message", [
     ("vertex 1 weight=-2 weight=-1\n", "line 1: duplicate field 'weight'"),
     ("vertex 1 weight=-2 genus=0 mf=1 genus=1\n", "line 1: duplicate field 'genus'"),
     ("vertex 1 weight=-1\narrow 1 side=g side=f\n", "line 2: duplicate field 'side'"),
@@ -89,7 +108,8 @@ def test_parse_any_whitespace_and_trailing_comments(name):
     text = read_input(name)
     spaced = "\n".join("\t " + line.replace(" ", " \t  ") + "\t# trailing note 'x\\"
                        for line in text.splitlines())
-    assert parse_resolution(spaced) == parse_resolution(text)
+    assert (parse_resolution(spaced) == parse_resolution(text)
+            == parser_reference.parse_resolution(spaced))
 
 
 @pytest.mark.parametrize("line", [
@@ -119,12 +139,29 @@ _TOKENS = st.sampled_from([
        st.sampled_from([" ", "\t", "  ", " \t "]))
 def test_parse_fuzz_ends_in_graph_or_plumbing_error(lines, sep):
     """Every text built of directive tokens, key=value items, quotes and
-    stray punctuation parses to a graph or raises a PlumbingError."""
+    stray punctuation parses to a graph or raises a PlumbingError, the same
+    graph or the same error type, text and elements as the reader that the
+    table-driven one replaced (``parser_reference.py``)."""
     text = "\n".join(sep.join(tokens) for tokens in lines)
+    assert _outcome(parse_resolution, text) == _outcome(parser_reference.parse_resolution, text)
+
+
+def _outcome(parse, text):
+    """The graph ``parse`` reads from ``text``, or the type, text and
+    elements of the PlumbingError it raises."""
     try:
-        assert isinstance(parse_resolution(text), ResolutionGraph)
-    except PlumbingError:
-        pass
+        return parse(text)
+    except PlumbingError as exc:
+        return type(exc), str(exc), exc.elements
+
+
+def _outcome(parse, text):
+    """The graph ``parse`` reads from ``text``, or the type, text and
+    elements of the error it raises."""
+    try:
+        return parse(text)
+    except PlumbingError as exc:
+        return type(exc), str(exc), exc.elements
 
 
 def test_all_or_none_multiplicities():

@@ -63,8 +63,8 @@ def test_form_and_K_equal_the_expanded_tree(name, side):
 def test_size_prediction_is_the_vertex_count(name, side, monkeypatch):
     limit = synthesis.MAX_VERTICES
     for r in range(1, 201):
+        monkeypatch.setattr(synthesis, "MAX_VERTICES", limit)  # power_nielsen reads it too
         w = waldhausen(name, side, r)[1]
-        monkeypatch.setattr(synthesis, "MAX_VERTICES", limit)
         size = len(synth_plumbing(w).vertices)
         monkeypatch.setattr(synthesis, "MAX_VERTICES", size - 1)
         with pytest.raises(UnsupportedError, match=f"would have {size} vertices"):
