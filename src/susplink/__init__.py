@@ -61,7 +61,7 @@ from .invariants import (
     waldhausen_form,
     wedge_count,
 )
-from .nielsen import Decomposition, EdgeChain, StalkChain, build_nielsen, decompose
+from .nielsen import build_nielsen
 from .pipeline import PipelineResult, StageError, run_pipeline
 from .power import power_nielsen, valency_formula_notes
 from .resolve import (

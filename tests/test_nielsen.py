@@ -1,14 +1,18 @@
+import random
 import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
+import nielsen_reference
+from conftest import read_input
 from nielsen_iso import nielsen_isomorphic
 from susplink.errors import ChainDataError, InputError, UnsupportedError
 from susplink.graphs import (Arrow, Edge, MultPlumbing, MultVertex, NielsenGraph,
                              NielsenVertex, Stalk)
-from susplink.nielsen import StalkChain, _chain_fraction, build_nielsen, decompose
-from susplink.resolve import subtract_and_normalize
+from susplink.nielsen import _chain_fraction, build_nielsen
+from susplink.resolve import multiplicity_trees, parse_resolution, subtract_and_normalize
 
 
 def mp_of(graph):
@@ -16,23 +20,25 @@ def mp_of(graph):
 
 
 def test_decompose_ex1(ex1_graph):
-    dec = decompose(mp_of(ex1_graph))
-    assert dec.nodes == (2, 7)
-    assert [(c.node, c.vertices) for c in dec.stalk_chains] == [(2, (1,)), (7, (8,))]
-    (chain,) = dec.edge_chains
-    assert (chain.node_u, chain.node_v) == (2, 7)
-    assert chain.vertices == (3, 4, 5, 6)
-    assert chain.sign == -1
-    assert len(dec.node_arrows) == 2
+    """ex1 is cut at its nodes 2 and 7 into a stalk at each and one edge
+    chain, walked from 2, whose edge signs multiply to -1: its twist is
+    positive."""
+    n = build_nielsen(mp_of(ex1_graph))
+    assert [v.id for v in n.vertices] == [2, 7]
+    assert [s.vertex for s in n.stalks] == [2, 7]
+    (edge,) = n.edges
+    assert (edge.u, edge.v) == (2, 7)
+    assert edge.twist > 0
+    assert len(n.boundary_stalks) == 2
 
 
 def test_decompose_ex2(ex2_graph):
-    dec = decompose(mp_of(ex2_graph))
-    assert dec.nodes == (2, 4)
-    (chain,) = dec.edge_chains
-    assert chain.vertices == (3,)
-    assert chain.sign == -1
-    assert len(dec.stalk_chains) == 2
+    n = build_nielsen(mp_of(ex2_graph))
+    assert [v.id for v in n.vertices] == [2, 4]
+    (edge,) = n.edges
+    assert (edge.u, edge.v) == (2, 4)
+    assert edge.twist > 0
+    assert len(n.stalks) == 2
 
 
 def test_decompose_star_has_no_edge_chain():
@@ -42,10 +48,10 @@ def test_decompose_star_has_no_edge_chain():
         (Edge(1, 2), Edge(1, 3)),
         (Arrow(1, 1),),
     )
-    dec = decompose(mp)
-    assert dec.nodes == (1,)
-    assert dec.edge_chains == ()
-    assert len(dec.stalk_chains) == 2
+    n = build_nielsen(mp)
+    assert [v.id for v in n.vertices] == [1]
+    assert n.edges == ()
+    assert len(n.stalks) == 2
 
 
 def test_decompose_rejects_nodeless():
@@ -54,7 +60,7 @@ def test_decompose_rejects_nodeless():
         (Edge(1, 2),),
     )
     with pytest.raises(UnsupportedError, match="no node"):
-        decompose(mp)
+        build_nielsen(mp)
 
 
 def test_decompose_rejects_zero_on_stalk_chain():
@@ -64,8 +70,9 @@ def test_decompose_rejects_zero_on_stalk_chain():
         (Edge(1, 2), Edge(1, 3)),
         (Arrow(1, 1),),
     )
-    with pytest.raises(ChainDataError, match="stalk chain"):
-        decompose(mp)
+    with pytest.raises(ChainDataError, match="m = 0 inside stalk chain") as info:
+        build_nielsen(mp)
+    assert info.value.elements == (2,)
 
 
 def test_nielsen_ex1(ex1_graph):
@@ -178,11 +185,11 @@ def test_chain_fraction_message_stays_bounded(weight):
     """A 200-vertex chain of positive weights has a negative fraction (with
     a numerator of over 80 digits at weight 3); the message quotes it
     through the excerpt and leaves the chain's vertices to ``elements``."""
-    chain = StalkChain(0, tuple(range(1, 201)))
+    chain = list(range(1, 201))
     with pytest.raises(ChainDataError, match="is not of the form") as exc:
-        _chain_fraction(dict.fromkeys(chain.vertices, weight), chain)
+        _chain_fraction(dict.fromkeys(chain, weight), chain, (0, *chain))
     assert len(exc.value.args[0]) < 150
-    assert exc.value.elements == chain.vertices
+    assert exc.value.elements == tuple(chain)
 
 
 @pytest.mark.parametrize("weight", [-3, -4, -5])
@@ -199,3 +206,62 @@ def test_non_integral_rotation_numbers_are_a_chain_error(weight):
     assert str(info.value) == (
         "inconsistent chain data: rotation numbers are not integral (the input does "
         "not satisfy the monodromical system) (elements: 1, 3)")
+
+
+@st.composite
+def multiplicity_trees_drawn(draw):
+    """A MultPlumbing of up to 9 vertices on distinct ids: m from a few
+    small values and 0, weights -6..1, genus 0 or 1, random flips with the
+    edge signs they force, edges in either orientation, and 0-3 arrows of
+    mult 1, -1 or 2; most are not fibred multiplicity trees."""
+    size = draw(st.integers(1, 9))
+    ids = draw(st.lists(st.integers(1, 30), min_size=size, max_size=size, unique=True))
+    flipped = {vid: draw(st.booleans()) for vid in ids}
+    vertices = tuple(
+        MultVertex(vid, draw(st.integers(-6, 1)), draw(st.integers(0, 1)),
+                   draw(st.sampled_from((0, 1, 2, 3, 4, 5, 6, 8, 12))), flipped[vid])
+        for vid in ids)
+    edges = []
+    for i in range(1, size):
+        u, v = ids[draw(st.integers(0, i - 1))], ids[i]
+        if draw(st.booleans()):
+            u, v = v, u
+        edges.append(Edge(u, v, -1 if flipped[u] != flipped[v] else 1))
+    arrows = tuple(Arrow(draw(st.sampled_from(ids)), draw(st.sampled_from((1, -1, 2))))
+                   for _ in range(draw(st.integers(0, 3))))
+    return MultPlumbing(vertices, tuple(edges), arrows)
+
+
+def _outcome(build, mp):
+    """The graph ``build`` makes of ``mp``, or the type, text and elements
+    of the error it raises."""
+    try:
+        return build(mp)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "elements", None)
+
+
+@given(multiplicity_trees_drawn())
+def test_build_nielsen_equals_the_reference(mp):
+    """One walk per chain builds the graph, or raises the first error, of
+    ``decompose`` and the records it filled (``nielsen_reference.py``)."""
+    assert _outcome(build_nielsen, mp) == _outcome(nielsen_reference.build_nielsen, mp)
+
+
+@pytest.mark.parametrize("name, side", [
+    (name, side) for name in ("ex1", "ex2", "ex3", "cusp")
+    for side in ("fg", "f", "g") if (name, side) != ("cusp", "g")])
+def test_build_nielsen_ignores_vertex_and_edge_order(name, side):
+    """Every chain is walked from its node with the smaller id, whatever the
+    order of the vertices and edges and the orientation of each edge."""
+    trees = [mp for mp in multiplicity_trees(parse_resolution(read_input(f"{name}.txt")), side)
+             if mp is not None]
+    rnd = random.Random(f"{name}-{side}")
+    for mp in trees:
+        want = build_nielsen(mp)
+        for _ in range(50):
+            vertices, edges = list(mp.vertices), [
+                Edge(e.v, e.u, e.sign) if rnd.random() < 0.5 else e for e in mp.edges]
+            rnd.shuffle(vertices)
+            rnd.shuffle(edges)
+            assert build_nielsen(MultPlumbing(tuple(vertices), tuple(edges), mp.arrows)) == want

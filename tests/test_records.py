@@ -5,7 +5,7 @@ the passes are immutable values with value equality and hashing, a
 import pytest
 
 from conftest import read_input
-from susplink import exactlinalg, graphs, invariants, nielsen, pipeline
+from susplink import exactlinalg, graphs, invariants, pipeline
 from susplink.serialize import element_dicts, to_dict
 
 ELEMENTS = {
@@ -16,8 +16,7 @@ ELEMENTS = {
     "stalks": (graphs.Stalk, graphs.WaldStalk),
     "boundary_stalks": (graphs.BoundaryStalk,),
 }
-RESULTS = (nielsen.StalkChain, nielsen.EdgeChain, nielsen.Decomposition,
-           exactlinalg.Elimination, invariants.FibreData, invariants.LauferSteenbrink,
+RESULTS = (exactlinalg.Elimination, invariants.FibreData, invariants.LauferSteenbrink,
            invariants.ObstructionReport, pipeline.PipelineResult)
 RECORDS = tuple(cls for group in ELEMENTS.values() for cls in group) + RESULTS
 
@@ -25,11 +24,8 @@ RECORDS = tuple(cls for group in ELEMENTS.values() for cls in group) + RESULTS
 def _samples() -> dict:
     """One instance of each record type, all from ex1 at r = 3."""
     result = pipeline.run_pipeline(read_input("ex1.txt"), 3, keep_arrows=True, reduce=True)
-    decomposition = nielsen.decompose(result.multiplicity)
     out = {type(x): x for x in (
-        result, result.obstructions, decomposition,
-        decomposition.stalk_chains[0], decomposition.edge_chains[0],
-        exactlinalg.eliminate(result.plumbing),
+        result, result.obstructions, exactlinalg.eliminate(result.plumbing),
         invariants.fibre_euler(result.multiplicity),
         invariants.laufer_steenbrink(result.plumbing, result.obstructions.chi_fibre_F))}
     for graph in (result.resolution, result.multiplicity, result.nielsen,
