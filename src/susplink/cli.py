@@ -34,7 +34,7 @@ from .invariants import form_invariants
 from .nielsen import build_nielsen
 from .pipeline import StageError, _stage, run_pipeline
 from .power import power_nielsen
-from .report import render_graph_text, render_json_dict, render_text
+from .report import render_graph_text, render_json, render_text
 from .resolve import SIDE_COEFFS, parse_resolution, subtract_and_normalize
 from .serialize import dumps, from_json, to_dot, to_json
 from .synthesis import reduce_tree, strip_decorations, synth_plumbing
@@ -200,7 +200,7 @@ def _run_one_pipeline(path: str, args) -> str:
                           keep_arrows=args.keep_arrows, reduce=args.blow_down)
     _check_digits(result.obstructions._asdict())
     if args.format == "json":
-        return dumps(render_json_dict(result)) + "\n"
+        return render_json(result) + "\n"
     if args.format == "dot":
         return to_dot(result.blowdown or result.plumbing)
     return render_text(result)

@@ -11,7 +11,7 @@ from .graphs import (
 )
 from .invariants import ObstructionReport
 from .pipeline import PipelineResult
-from .serialize import element_dicts, to_dict
+from .serialize import dumps, element_dicts, to_dict
 
 REPORT_SCHEMA = "susplink/report:1"
 # the stage graphs of a report, in pipeline order; blowdown only when run
@@ -161,15 +161,26 @@ def obstructions_to_dict(o: ObstructionReport) -> dict:
     return element_dicts(ObstructionReport, (o,))[0]
 
 
-def render_json_dict(result: PipelineResult) -> dict:
-    stages = {name: to_dict(getattr(result, name)) for name in _STAGES
+def _report(result: PipelineResult, document) -> dict:
+    """The report of ``result`` with each graph as ``document(graph)``."""
+    stages = {name: document(getattr(result, name)) for name in _STAGES
               if getattr(result, name) is not None}
     return {
         "schema": REPORT_SCHEMA,
         "r": result.r,
         "side": result.side,
-        "input": to_dict(result.resolution),
+        "input": document(result.resolution),
         "stages": stages,
         "obstructions": obstructions_to_dict(result.obstructions),
         "notes": list(result.notes),
     }
+
+
+def render_json_dict(result: PipelineResult) -> dict:
+    return _report(result, to_dict)
+
+
+def render_json(result: PipelineResult) -> str:
+    """``dumps(render_json_dict(result))``, each graph written by ``to_json``
+    without its dict."""
+    return dumps(_report(result, lambda graph: graph))

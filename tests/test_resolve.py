@@ -155,15 +155,6 @@ def _outcome(parse, text):
         return type(exc), str(exc), exc.elements
 
 
-def _outcome(parse, text):
-    """The graph ``parse`` reads from ``text``, or the type, text and
-    elements of the error it raises."""
-    try:
-        return parse(text)
-    except PlumbingError as exc:
-        return type(exc), str(exc), exc.elements
-
-
 def test_all_or_none_multiplicities():
     with pytest.raises(InputError, match="every vertex"):
         parse_resolution(
