@@ -42,17 +42,19 @@ from .waldhausen import nielsen_to_waldhausen
 
 
 def _read(path: str) -> str:
-    """The UTF-8 text of ``path`` ('-' for stdin); InputError if it is not."""
+    """The UTF-8 text of ``path`` ('-' for stdin), without one leading
+    byte-order mark; InputError if it is not UTF-8."""
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as handle:
             data = handle.read()
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the offset counts from the first byte, mark and all
         name = "stdin" if path == "-" else path
         raise InputError(f"{name}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+    return text.removeprefix("\ufeff")
 
 
 def _load(path: str, want, stage: str):

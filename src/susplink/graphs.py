@@ -136,7 +136,7 @@ class PlumbingTree(_Graph):
                 raise InputError(f"edge sign must be +-1, got {e.sign}", elements=(e.u, e.v))
 
     def is_tree(self) -> bool:
-        return _is_tree(self.ids, [(e.u, e.v) for e in self.edges])
+        return _is_tree(self.ids, self.edges)
 
 
 def adjacency(ids, edges) -> dict[int, list[tuple[int, int]]]:
@@ -176,16 +176,29 @@ def _two_colouring(ids, signed_edges) -> tuple[dict[int, int], int]:
     return colors, roots
 
 
-def _is_tree(ids, edge_pairs) -> bool:
-    """Nonempty, |V| - 1 edges and one component."""
-    return (bool(ids) and len(edge_pairs) == len(ids) - 1
-            and _two_colouring(ids, [(u, v, 1) for u, v in edge_pairs])[1] == 1)
+def _is_tree(ids, edges) -> bool:
+    """Nonempty, |V| - 1 edges and one component: one breadth-first walk
+    over the (u, v, ...) tuples ``edges`` on the vertex ids ``ids``."""
+    if not ids or len(edges) != len(ids) - 1:
+        return False
+    adj: dict[int, list[int]] = {i: [] for i in ids}
+    for e in edges:
+        adj[e[0]].append(e[1])
+        adj[e[1]].append(e[0])
+    root = next(iter(adj))
+    seen, queue = {root}, [root]
+    for u in queue:  # read while it grows: first in, first out
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return len(seen) == len(adj)
 
 
-def check_tree(ids, edge_pairs, what: str = "graph"):
+def check_tree(ids, edges, what: str = "graph"):
     if not ids:
         raise InputError(f"empty vertex set in {what}")
-    if not _is_tree(list(ids), list(edge_pairs)):
+    if not _is_tree(ids, edges):
         raise NotATreeError(f"not a tree: {what} must be connected and acyclic")
 
 
@@ -286,7 +299,7 @@ class MultPlumbing(_Graph):
 
     def __post_init__(self):
         self._check_shared(self.edges, self.arrows)
-        check_tree(self.ids, [(e.u, e.v) for e in self.edges], "multiplicity tree")
+        check_tree(self.ids, self.edges, "multiplicity tree")
         for v in self.vertices:
             if v.m < 0:
                 raise InputError("multiplicities must be >= 0 after normalization",

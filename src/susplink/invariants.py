@@ -95,11 +95,16 @@ class FibreData(NamedTuple):
     boundary: int
 
 
-def fibre_euler(mp: MultPlumbing) -> FibreData:
+def fibre_euler(mp: MultPlumbing, m=None) -> FibreData:
     """Euler characteristic, genus and boundary count of the (connected)
     fibre: each piece covers its base m_v times, so
-    chi = sum |m_v| * (2 - 2g_v - valence_v)."""
-    chi = sum(abs(v.m) * (2 - 2 * v.genus - mp.valence[v.id]) for v in mp.vertices)
+    chi = sum |m_v| * (2 - 2g_v - valence_v).  ``m`` (in vertex order)
+    replaces the tree's own m_v; it serves for a tree on the same graph with
+    the same arrows, as the product germ's is to a mixed run's."""
+    if m is None:
+        m = [v.m for v in mp.vertices]
+    valence = mp.valence
+    chi = sum(abs(x) * (2 - 2 * v.genus - valence[v.id]) for x, v in zip(m, mp.vertices))
     boundary = sum(abs(a.mult) for a in mp.arrows)
     if (2 - chi - boundary) % 2:
         raise PlumbingError(
@@ -264,15 +269,17 @@ class ObstructionReport(NamedTuple):
 
 
 def obstruction_report(mp: MultPlumbing, w: WaldhausenGraph, r: int,
-                       product_mp: MultPlumbing | None = None) -> ObstructionReport:
+                       product_m: list[int] | None = None) -> ObstructionReport:
     """All obstruction invariants of one pipeline run: the form fields of
     ``waldhausen_form(w)``, K on every vertex of ``synth_plumbing(w)`` in its
-    order, and the suspension fibre by the join formula with the same r."""
+    order, the suspension fibre by the join formula with the same r, and,
+    given the product germ's multiplicities ``product_m`` (the second value
+    of ``resolve.multiplicity_trees``), that germ's fibre read off ``mp``."""
     form = waldhausen_form(w)
     fibre = fibre_euler(mp)
     chi_F = join_euler(fibre.chi, r)
     ls = _congruence(form.numerically_gorenstein, form.chi_resolution + form.K_squared, chi_F)
-    product = fibre_euler(product_mp) if product_mp is not None else None
+    product = fibre_euler(mp, product_m) if product_m is not None else None
     return ObstructionReport(  # positional, in field order
         _canonical_class(form), form.K_squared, form.numerically_gorenstein,
         form.chi_resolution, *fibre, chi_F, wedge_count(fibre.chi, r), *ls,

@@ -79,7 +79,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
         graph = _stage("parse")(parse_resolution, source)
     else:
         graph = source
-    mp, product_mp = _stage("step1")(multiplicity_trees, graph, side)
+    mp, product_m = _stage("step1")(multiplicity_trees, graph, side)
     nielsen = _stage("nielsen")(build_nielsen, mp)
     powered = _stage("power")(power_nielsen, nielsen, r)
     notes = _empty_chain_notes(mp) + valency_formula_notes(nielsen, r)
@@ -90,7 +90,7 @@ def run_pipeline(source: str | ResolutionGraph, r: int, side: str = "fg",
     if reduce:
         reduced = _stage("blowdown")(reduce_tree, tree)
     obstructions = _stage("invariants")(
-        obstruction_report, mp, wald, r, product_mp)
+        obstruction_report, mp, wald, r, product_m)
     return PipelineResult(
         resolution=graph,
         r=r,

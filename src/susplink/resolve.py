@@ -10,7 +10,8 @@ are solved (or verified, when the file already carries the decorations), the
 signed sum m = c_f m^f + c_g m^g is formed (m^f - m^g for the mixed germ),
 fibredness is tested at the nodes, and negative multiplicities are turned
 positive while recording a -1 edge sign wherever a flipped region meets an
-unflipped one.
+unflipped one.  A mixed run also keeps |m^f + m^g|, the multiplicities of
+the holomorphic product germ, whose fibre is read off the same tree.
 """
 
 from __future__ import annotations
@@ -54,18 +55,18 @@ def parse_resolution(text: str) -> ResolutionGraph:
     edges: list[tuple[int, int]] = []
     arrows: list[ResArrow] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        kind, *args = line.split()
+        kind = tokens[0]
         try:
             if kind == "vertex":
-                vid, fields = _read_fields(kind, args)
+                vid, fields = _read_fields(kind, tokens)
                 if "weight" not in fields:
                     raise InputError(f"vertex {vid} is missing weight=")
                 vertices.append(ResVertex(vid, **fields))
             elif kind == "arrow":
-                vid, fields = _read_fields(kind, args)
+                vid, fields = _read_fields(kind, tokens)
                 side = fields.get("side")
                 if side not in ("f", "g"):
                     raise InputError("arrow needs side=f or side=g")
@@ -75,9 +76,9 @@ def parse_resolution(text: str) -> ResolutionGraph:
                         f"arrow mult on side {side} must be {want:+d} (orientation convention)")
                 arrows.append(ResArrow(vid, side, want))
             elif kind == "edge":
-                if len(args) != 2:
+                if len(tokens) != 3:
                     raise InputError("edge needs exactly two vertex ids")
-                edges.append((_int("edge end", args[0]), _int("edge end", args[1])))
+                edges.append((_int(tokens[1], "edge end"), _int(tokens[2], "edge end")))
             else:
                 raise InputError(f"unknown directive {excerpt(kind)}")
         except InputError as exc:
@@ -85,30 +86,33 @@ def parse_resolution(text: str) -> ResolutionGraph:
     return ResolutionGraph(tuple(vertices), tuple(edges), tuple(arrows))
 
 
-def _int(name: str, token: str) -> int:
+def _int(token: str, name: str, *fill) -> int:
+    """``int(token)``; an InputError naming ``name % fill``, formatted only
+    when it is raised, if the token is not an integer."""
     try:
         return int(token)
     except ValueError:  # not an integer, or more digits than int() converts
-        raise InputError(f"{name} must be an integer, got {excerpt(token)}") from None
+        raise InputError(f"{name % fill} must be an integer, got {excerpt(token)}") from None
 
 
-def _read_fields(kind: str, args) -> tuple[int, dict]:
-    """The id and the key=value fields of a vertex or arrow directive:
-    every key one of ``DIRECTIVE_FIELDS[kind]`` and given at most once,
-    every value but side's an int."""
-    if not args:
+def _read_fields(kind: str, tokens) -> tuple[int, dict]:
+    """The id and the key=value fields of a vertex or arrow directive, given
+    as its whole line of tokens: every key one of ``DIRECTIVE_FIELDS[kind]``
+    and given at most once, every value but side's an int."""
+    if len(tokens) < 2:
         raise InputError("vertex needs an id" if kind == "vertex" else "arrow needs a vertex id")
-    vid = _int(f"{kind} id", args[0])
+    vid = _int(tokens[1], "%s id", kind)
+    names = DIRECTIVE_FIELDS[kind]
     fields: dict = {}
-    for item in args[1:]:
+    for item in tokens[2:]:
         key, eq, value = item.partition("=")
         if not eq:
             raise InputError(f"expected key=value, got {excerpt(item)}")
-        if key not in DIRECTIVE_FIELDS[kind]:
+        if key not in names:
             raise InputError(f"unknown {kind} field {excerpt(key)}")
         if key in fields:
             raise InputError(f"duplicate field {key!r}")
-        fields[key] = value if key == "side" else _int(f"field {key!r}", value)
+        fields[key] = value if key == "side" else _int(value, "field %r", key)
     return vid, fields
 
 
@@ -140,14 +144,19 @@ def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
 
 
 def multiplicity_trees(graph: ResolutionGraph, side: str
-                       ) -> tuple[MultPlumbing, MultPlumbing | None]:
+                       ) -> tuple[MultPlumbing, list[int] | None]:
     """``subtract_and_normalize(graph, side)`` and, for a mixed run on a
-    graph with arrows, ``product_multiplicity_tree(graph)`` (else None),
-    from one solve of each side."""
+    graph with arrows, the multiplicities |m^f + m^g| of the holomorphic
+    product germ in vertex order (else None), from one solve of each side.
+
+    The product germ needs no tree of its own: its tree is the graph's with
+    the same arrows, each at |mult| = 1, so ``invariants.fibre_euler(mp, m)``
+    reads its fibre off ``mp`` (``product_multiplicity_tree`` builds it).
+    """
     mp, solutions = _fibred_tree(graph, side)
     if side != "fg" or not graph.arrows:
         return mp, None
-    return mp, _combined_tree(graph, PRODUCT_COEFFS, solutions)
+    return mp, [abs(f + g) for f, g in zip(solutions["f"], solutions["g"])]
 
 
 def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlumbing:
@@ -186,8 +195,9 @@ def _fibred_tree(graph: ResolutionGraph, side: str
 def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
     """Multiplicity tree of the holomorphic product germ (m = m^f + m^g).
 
-    Used to compare the fibre of the mixed germ with the fibre of the
-    product, as in the genus-1 versus genus-5 contrast.
+    Its fibre is compared with the fibre of the mixed germ, as in the
+    genus-1 versus genus-5 contrast; a run reads that fibre from
+    ``multiplicity_trees``'s multiplicities without building this tree.
     """
     return _combined_tree(graph, PRODUCT_COEFFS, _solve_sides(graph, PRODUCT_COEFFS))
 

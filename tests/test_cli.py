@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from susplink import cli
 from susplink.cli import build_parser, main
 from susplink.graphs import BoundaryStalk, NielsenEdge, NielsenGraph, NielsenVertex, Stalk
+from susplink.nielsen import build_nielsen
 from susplink.pipeline import run_pipeline
 from susplink.resolve import parse_resolution, subtract_and_normalize
 from susplink.serialize import to_dict, to_json
@@ -327,6 +328,49 @@ def test_non_utf8_stdin_is_an_input_error(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error [step1] stdin: not UTF-8 text")
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, capsys):
+    """A resolution text and a stage document saved with a UTF-8
+    byte-order mark read as they do without one."""
+    text, marked = DATA / "ex1.txt", tmp_path / "ex1.txt"
+    marked.write_bytes(BOM + text.read_bytes())
+    want = run_cli(capsys, "step1", str(text))
+    assert want[0] == 0 and run_cli(capsys, "step1", str(marked)) == want
+    doc = tmp_path / "mp.json"
+    doc.write_bytes(BOM + want[1].encode("utf-8"))
+    code, out, err = run_cli(capsys, "nielsen", str(doc))
+    assert (code, err) == (0, "")
+    assert out == to_json(build_nielsen(subtract_and_normalize(parse_resolution(
+        text.read_text(encoding="utf-8"))))) + "\n"
+
+
+def test_a_leading_byte_order_mark_on_stdin_is_dropped(monkeypatch, capsys):
+    data = (DATA / "ex1.txt").read_bytes()
+    want = run_cli(capsys, "step1", str(DATA / "ex1.txt"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BOM + data)))
+    assert run_cli(capsys, "step1", "-") == want
+
+
+def test_only_one_byte_order_mark_is_dropped(tmp_path, capsys):
+    """A second mark is text: the first line's one token, which the error names."""
+    path = tmp_path / "twice.txt"
+    path.write_bytes(BOM + BOM + (DATA / "ex1.txt").read_bytes())
+    code, out, err = run_cli(capsys, "step1", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error [step1] line 1: unknown directive '\\ufeff'\n"
+
+
+def test_non_utf8_offset_counts_the_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(BOM + b"vertex 1 weight=-1\xff\n")
+    code, out, err = run_cli(capsys, "step1", str(path))
+    assert (code, out) == (1, "")
+    assert err == (f"error [step1] {path}: not UTF-8 text "
+                   "(invalid start byte at byte 21)\n")
 
 
 @pytest.mark.parametrize("side", ["fg", "f"])

@@ -17,7 +17,7 @@ from susplink import contfrac, synthesis
 from susplink.cli import main
 from susplink.graphs import Arrow, Edge, MultPlumbing, MultVertex, WaldhausenGraph
 from susplink.pipeline import run_pipeline
-from susplink.resolve import multiplicity_trees
+from susplink.resolve import product_multiplicity_tree
 from susplink.synthesis import node_balance, waldhausen_chains
 from conftest import read_input
 from test_exactlinalg import plumbing_forms
@@ -46,10 +46,13 @@ def check_views(graph):
                                        if valence[v.id] >= 3 or v.genus >= 1)
 
 
-def containers(result, product_mp):
+def containers(result):
+    """Every graph of ``result``, and the product germ's tree of a mixed run."""
     graphs = [result.resolution, result.multiplicity, result.nielsen, result.nielsen_power,
               result.waldhausen, result.plumbing_full, result.plumbing, result.blowdown]
-    return graphs + ([product_mp] if product_mp is not None else [])
+    if result.side == "fg" and result.resolution.arrows:
+        graphs.append(product_multiplicity_tree(result.resolution))
+    return graphs
 
 
 @pytest.mark.parametrize("name, side", RUNS)
@@ -57,7 +60,7 @@ def test_views_of_every_pipeline_container_equal_a_fresh_computation(name, side)
     text = read_input(f"{name}.txt")
     for r in range(1, 13):
         result = run_pipeline(text, r, side=side, reduce=True)
-        for graph in containers(result, multiplicity_trees(result.resolution, side)[1]):
+        for graph in containers(result):
             check_views(graph)
         w = result.waldhausen  # its chain table and balance are kept since step 5
         assert waldhausen_chains(w) is waldhausen_chains(w) == waldhausen_chains(
@@ -89,7 +92,7 @@ def test_ids_of_drawn_forms_equal_a_fresh_computation(tree):
 @pytest.fixture(scope="module")
 def ex1_containers():
     result = run_pipeline(read_input("ex1.txt"), 3, reduce=True)
-    return containers(result, multiplicity_trees(result.resolution, "fg")[1])
+    return containers(result)
 
 
 def fields_of(graph):

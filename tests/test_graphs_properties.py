@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
+from susplink import graphs
 from susplink.graphs import (
     Arrow,
     Edge,
@@ -14,6 +15,7 @@ from susplink.graphs import (
 from susplink.invariants import fibre_euler
 from susplink.resolve import SIDE_COEFFS, normalize_signed, subtract_and_normalize
 from susplink.synthesis import blow_down, normalize_edge_signs
+import tree_reference
 from dense_linalg import determinant
 from graph_helpers import multiplicity_to_plumbing, signed_mults
 from test_exactlinalg import plumbing_forms
@@ -103,3 +105,39 @@ def test_base_tree_blow_down_is_a_sphere(ex1_graph, ex2_graph, ex3_graph):
         mp = subtract_and_normalize(graph)
         tree = normalize_edge_signs(multiplicity_to_plumbing(mp))
         assert abs(determinant(intersection_matrix(blow_down(tree)))) == 1
+
+
+@st.composite
+def id_edge_lists(draw):
+    """Vertex ids, maybe none and maybe repeated, and (u, v) pairs on them:
+    a spanning tree with some of its edges dropped (a forest, isolated
+    vertices), then up to three more pairs, which close cycles, make
+    self-loops or parallel edges, or end on an unknown id."""
+    ids = draw(st.lists(st.integers(0, 8), max_size=8, unique=draw(st.booleans())))
+    pairs = draw(st.permutations(
+        [(ids[draw(st.integers(0, k - 1))], ids[k]) for k in range(1, len(ids))]))
+    pairs = pairs[:draw(st.integers(0, len(pairs)))]
+    ends = st.one_of(st.sampled_from(ids), st.integers(0, 9)) if ids else st.integers(0, 9)
+    return ids, pairs + draw(st.lists(st.tuples(ends, ends), max_size=3))
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@given(id_edge_lists())
+def test_tree_test_equals_the_reference(case):
+    """One breadth-first walk gives the bool, or raises the error of the same
+    type and text, that the two-colouring of ``tree_reference.py`` does, on
+    (u, v) pairs and on ``Edge`` records alike."""
+    ids, pairs = case
+    edges = [Edge(u, v) for u, v in pairs]
+    for mine in (pairs, edges):
+        assert (_outcome(graphs._is_tree, tuple(ids), mine)
+                == _outcome(tree_reference._is_tree, ids, pairs))
+        assert (_outcome(graphs.check_tree, tuple(ids), mine, "drawn graph")
+                == _outcome(tree_reference.check_tree, ids, pairs, "drawn graph"))

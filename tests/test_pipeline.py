@@ -1,11 +1,15 @@
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from susplink import resolve
-from susplink.graphs import ResArrow, ResolutionGraph
+from susplink.errors import PlumbingError
+from susplink.graphs import ResArrow, ResolutionGraph, ResVertex
 from susplink.invariants import determinant, fibre_euler
 from susplink.pipeline import StageError, run_pipeline
 from susplink.report import describe_waldhausen, render_json_dict, render_text
+from susplink.resolve import multiplicity_trees, parse_resolution, product_multiplicity_tree
 from susplink.serialize import from_json, to_dict, to_dot, to_json
+from conftest import read_input
 
 
 def test_stage_outputs_compose(ex1_graph):
@@ -47,17 +51,19 @@ def test_report_notes_fibre_contrast(ex2_result):
     assert "cannot be equivalent" in text
 
 
+def product_germ_graph(ex2_graph):
+    """ex2's tree with both branches on side f: the holomorphic product germ
+    (x^2+y^3)(x^3+y^2) itself."""
+    return ResolutionGraph(ex2_graph.vertices, ex2_graph.edges,
+                           (ResArrow(2, "f", 1), ResArrow(4, "f", 1)))
+
+
 def test_product_germ_yields_the_same_link(ex2_graph):
     """The mixed germ of ex2 at r = 2 and the holomorphic product germ
     (x^2+y^3)(x^3+y^2) at r = 2 produce homeomorphic plumbing descriptions:
     both reduce to two -3 vertices joined by a double edge."""
     mixed = run_pipeline(ex2_graph, 2, reduce=True)
-    product_graph = ResolutionGraph(
-        ex2_graph.vertices,
-        ex2_graph.edges,
-        (ResArrow(2, "f", 1), ResArrow(4, "f", 1)),
-    )
-    product = run_pipeline(product_graph, 2, reduce=True)
+    product = run_pipeline(product_germ_graph(ex2_graph), 2, reduce=True)
     assert sorted(v.weight for v in product.blowdown.vertices) == [-3, -3]
     assert len(product.blowdown.edges) == 2
     assert sorted(v.weight for v in mixed.blowdown.vertices) == [-3, -3]
@@ -174,3 +180,73 @@ def test_pipeline_solves_each_side_once(ex1_graph, monkeypatch, side, solves):
             product.chi, product.genus, product.boundary)
     else:
         assert obs.product_chi is None
+
+
+def product_fibre(obs):
+    return obs.product_chi, obs.product_genus, obs.product_boundary
+
+
+@pytest.mark.parametrize("name, side", [
+    (name, side) for name in ("ex1", "ex2", "ex3", "cusp")
+    for side in ("fg", "f", "g") if (name, side) != ("cusp", "g")])
+def test_product_fibre_is_the_product_trees(name, side):
+    """A mixed run reads the product germ's fibre off its own fibred tree
+    with the multiplicities |m^f + m^g|; it equals the fibre of the tree
+    ``product_multiplicity_tree`` builds.  A one-sided run has none."""
+    graph = parse_resolution(read_input(f"{name}.txt"))
+    want = fibre_euler(product_multiplicity_tree(graph)) if side == "fg" else (None,) * 3
+    for r in (1, 2, 5):
+        assert product_fibre(run_pipeline(graph, r, side=side).obstructions) == tuple(want)
+
+
+def test_product_fibre_of_the_product_germ_is_its_own(ex2_graph):
+    """With both branches on one side, m^g = 0: the product fibre is the
+    fibre of the run itself (ex2's product germ, genus 5)."""
+    graph = product_germ_graph(ex2_graph)
+    obs = run_pipeline(graph, 2).obstructions
+    assert product_fibre(obs) == tuple(fibre_euler(product_multiplicity_tree(graph)))
+    assert product_fibre(obs) == (obs.chi_fibre_fg, obs.fibre_genus, obs.fibre_boundary)
+    assert obs.product_genus == 5
+
+
+@st.composite
+def mixed_resolution_trees(draw):
+    """A resolution tree of at most 9 vertices and weights -4..-1 built by
+    blow-ups from one -1 vertex, so that every multiplicity system has an
+    integer solution, with one f and one g arrow on drawn vertices."""
+    weights, edges = {1: -1}, []
+    for new in range(2, draw(st.integers(1, 9)) + 1):
+        centres = [(v,) for v, w in weights.items() if w > -4] + [
+            e for e in edges if weights[e[0]] > -4 and weights[e[1]] > -4]
+        if not centres:
+            break
+        centre = draw(st.sampled_from(centres))  # a point on one curve, or where two meet
+        if len(centre) == 2:
+            edges.remove(centre)
+        edges += [(v, new) for v in centre]
+        for v in centre:
+            weights[v] -= 1
+        weights[new] = -1
+    ids = st.sampled_from(sorted(weights))
+    return ResolutionGraph(tuple(ResVertex(v, w) for v, w in weights.items()), tuple(edges),
+                           (ResArrow(draw(ids), "f", 1), ResArrow(draw(ids), "g", -1)))
+
+
+def _fibre(*args):
+    """``fibre_euler(*args)``, or the type and text of the PlumbingError it raises."""
+    try:
+        return fibre_euler(*args)
+    except PlumbingError as exc:
+        return type(exc), str(exc)
+
+
+@given(mixed_resolution_trees())
+def test_product_fibre_of_drawn_mixed_trees_is_the_product_trees(graph):
+    """Wherever step 1 accepts a drawn mixed tree, the fibre read off its
+    fibred tree with the product multiplicities is the product tree's
+    fibre, or the same fractional-genus error."""
+    try:
+        mp, product_m = multiplicity_trees(graph, "fg")
+    except PlumbingError:
+        assume(False)
+    assert _fibre(mp, product_m) == _fibre(product_multiplicity_tree(graph))
