@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Alternating pairs of benchmark runs: a parent commit against this checkout.
 
-    python3 scripts/bench_pairs.py PARENT --out BENCH_33.json
-    python3 scripts/bench_pairs.py PARENT --pairs 10 --seconds 20 \\
-        --workloads examples large_r --claim "examples op_p90_ms"
+    python3 scripts/bench_pairs.py PARENT --claim "examples op_p90_ms" --out BENCH_33.json
 
 Each side is extracted with ``git archive`` into its own directory under
 ``--workdir``: the parent from the commit PARENT, the change from the
 working tree as ``git add -A`` would stage it.  Both sides then get their
 own copy of the change's ``perfbench/``, so they differ only in the program.
-Pair i runs ``perfbench/run.py --workload W --seconds S --seed 500+i
---trace 0`` for every workload on both sides, the parent first in odd pairs.
+There are ten pairs.  Pair i runs ``perfbench/run.py --workload W --seconds S
+--seed 500+i --trace 0`` on both sides, the parent first in odd pairs, for
+every workload W and the run length S that ``BENCHMARK.json`` declares.
 The output file holds, per workload and end-to-end metric, the median, the
 quartiles and the runs of each side, the median change and how many pairs
 the change won, and whether the claimed metric met the benchmark's rule.
@@ -30,7 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("examples", "large_r", "blowdown", "stage_files")
+PAIRS = 10
 SEED_BASE = 500
 RULE = ("the change wins at least 9 of 10 pairs and its median is better than the "
         "parent's by more than the parent's interquartile range")
@@ -130,36 +129,34 @@ def claim(summary: dict, metric: str) -> dict:
     iqr = m["parent"]["q3"] - m["parent"]["q1"]
     return {"metric": metric, "rule": RULE, "all_workloads": {
         "wins": m["change_wins"], f"median_gain_{m['unit']}": round(gain, 6),
-        f"parent_iqr_{m['unit']}": round(iqr, 6), "met": wins * 10 >= pairs * 9 and gain > iqr}}
+        f"parent_iqr_{m['unit']}": round(iqr, 6),
+        "met": pairs >= PAIRS and wins * 10 >= pairs * 9 and gain > iqr}}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", help="the commit to measure against")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     parser.add_argument("--claim", help='the metric a gain is claimed on, e.g. "examples op_p90_ms"')
     parser.add_argument("--out", default="-", help="output file, '-' for stdout")
     parser.add_argument("--workdir", help="where the two sides are extracted (default: a temporary directory)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2, to have quartiles")
 
     parent = git("rev-parse", f"{args.parent}^{{commit}}")
     trees = {"parent": git("rev-parse", f"{parent}^{{tree}}"), "change": working_tree()}
-    better = {m["name"]: m["better"]
-              for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    seconds = benchmark["run_seconds"]
     workdir = Path(args.workdir or tempfile.mkdtemp(prefix="bench-pairs-"))
     try:
         dirs = prepare(workdir, trees)
-        runs = {w: {"parent": [], "change": []} for w in args.workloads}
-        for pair in range(1, args.pairs + 1):
+        runs = {w: {"parent": [], "change": []} for w in workloads}
+        for pair in range(1, PAIRS + 1):
             order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for workload in args.workloads:
+            for workload in workloads:
                 for side in order:
                     runs[workload][side].append(
-                        run_once(dirs[side], workload, args.seconds, SEED_BASE + pair))
+                        run_once(dirs[side], workload, seconds, SEED_BASE + pair))
                     print(f"bench_pairs: pair {pair} {workload} {side} done", file=sys.stderr)
     finally:
         if not args.workdir:
@@ -170,8 +167,8 @@ def main(argv=None) -> int:
     document = {
         "what": "perfbench end-to-end metrics of the parent commit and of this change, "
                 "over alternating pairs of runs",
-        "command": f"python3 perfbench/run.py --workload W --seconds {args.seconds:g} --seed S "
-                   f"--trace 0, each of the {len(args.workloads)} workloads in its own process; "
+        "command": f"python3 perfbench/run.py --workload W --seconds {seconds:g} --seed S "
+                   f"--trace 0, each of the {len(workloads)} workloads in its own process; "
                    "within a pair each workload runs on both sides in turn",
         "parent_commit": parent,
         "change_commit": ("the commit that adds this file"
@@ -179,7 +176,7 @@ def main(argv=None) -> int:
         "src_tree": {side: git("rev-parse", f"{tree}:src") for side, tree in trees.items()},
         "perfbench_tree": {side: git("rev-parse", f"{tree}:perfbench")
                            for side, tree in trees.items()},
-        "seeds": {f"pair {i}": SEED_BASE + i for i in range(1, args.pairs + 1)},
+        "seeds": {f"pair {i}": SEED_BASE + i for i in range(1, PAIRS + 1)},
         "python": platform.python_version(),
         "cores": os.cpu_count(),
         "host": f"{platform.system()} {platform.machine()}; perfbench corrects every time "

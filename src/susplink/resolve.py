@@ -86,13 +86,12 @@ def parse_resolution(text: str) -> ResolutionGraph:
     return ResolutionGraph(tuple(vertices), tuple(edges), tuple(arrows))
 
 
-def _int(token: str, name: str, *fill) -> int:
-    """``int(token)``; an InputError naming ``name % fill``, formatted only
-    when it is raised, if the token is not an integer."""
+def _int(token: str, name: str) -> int:
+    """``int(token)``, or an InputError naming ``name`` if it is not an integer."""
     try:
         return int(token)
     except ValueError:  # not an integer, or more digits than int() converts
-        raise InputError(f"{name % fill} must be an integer, got {excerpt(token)}") from None
+        raise InputError(f"{name} must be an integer, got {excerpt(token)}") from None
 
 
 def _read_fields(kind: str, tokens) -> tuple[int, dict]:
@@ -101,7 +100,7 @@ def _read_fields(kind: str, tokens) -> tuple[int, dict]:
     and given at most once, every value but side's an int."""
     if len(tokens) < 2:
         raise InputError("vertex needs an id" if kind == "vertex" else "arrow needs a vertex id")
-    vid = _int(tokens[1], "%s id", kind)
+    vid = _int(tokens[1], f"{kind} id")
     names = DIRECTIVE_FIELDS[kind]
     fields: dict = {}
     for item in tokens[2:]:
@@ -112,7 +111,7 @@ def _read_fields(kind: str, tokens) -> tuple[int, dict]:
             raise InputError(f"unknown {kind} field {excerpt(key)}")
         if key in fields:
             raise InputError(f"duplicate field {key!r}")
-        fields[key] = value if key == "side" else _int(value, "field %r", key)
+        fields[key] = value if key == "side" else _int(value, f"field {key!r}")
     return vid, fields
 
 

@@ -160,10 +160,16 @@ def test_leaf_chain_below_one(r, det):
     assert abs(result.obstructions.determinant) == det
 
 
+def product_fibre(obs):
+    return obs.product_chi, obs.product_genus, obs.product_boundary
+
+
 @pytest.mark.parametrize("side, solves", [("fg", ["f", "g"]), ("f", ["f"]), ("g", ["g"])])
-def test_pipeline_solves_each_side_once(ex1_graph, monkeypatch, side, solves):
-    """Step 1 and the product germ's fibre share one solve of each side,
-    and the product fibre equals the one built on its own."""
+def test_pipeline_solves_each_side_once(monkeypatch, side, solves):
+    """Step 1 and the product germ's fibre share one solve of each side.
+    A mixed run reads the product fibre off its own fibred tree with the
+    multiplicities |m^f + m^g|; it equals the fibre of the tree
+    ``product_multiplicity_tree`` builds.  A one-sided run has none."""
     calls = []
     solve = resolve.solve_monodromical
 
@@ -172,31 +178,15 @@ def test_pipeline_solves_each_side_once(ex1_graph, monkeypatch, side, solves):
         return solve(graph, s)
 
     monkeypatch.setattr(resolve, "solve_monodromical", counted)
-    obs = run_pipeline(ex1_graph, 3, side=side).obstructions
-    assert calls == solves
-    if side == "fg":
-        product = fibre_euler(resolve.product_multiplicity_tree(ex1_graph))
-        assert (obs.product_chi, obs.product_genus, obs.product_boundary) == (
-            product.chi, product.genus, product.boundary)
-    else:
-        assert obs.product_chi is None
-
-
-def product_fibre(obs):
-    return obs.product_chi, obs.product_genus, obs.product_boundary
-
-
-@pytest.mark.parametrize("name, side", [
-    (name, side) for name in ("ex1", "ex2", "ex3", "cusp")
-    for side in ("fg", "f", "g") if (name, side) != ("cusp", "g")])
-def test_product_fibre_is_the_product_trees(name, side):
-    """A mixed run reads the product germ's fibre off its own fibred tree
-    with the multiplicities |m^f + m^g|; it equals the fibre of the tree
-    ``product_multiplicity_tree`` builds.  A one-sided run has none."""
-    graph = parse_resolution(read_input(f"{name}.txt"))
-    want = fibre_euler(product_multiplicity_tree(graph)) if side == "fg" else (None,) * 3
-    for r in (1, 2, 5):
-        assert product_fibre(run_pipeline(graph, r, side=side).obstructions) == tuple(want)
+    for name in ("ex1", "ex2", "ex3", "cusp"):
+        if (name, side) == ("cusp", "g"):
+            continue  # the cusp has no g branch
+        graph = parse_resolution(read_input(f"{name}.txt"))
+        want = fibre_euler(product_multiplicity_tree(graph)) if side == "fg" else (None,) * 3
+        for r in (1, 2, 5):
+            calls.clear()
+            assert product_fibre(run_pipeline(graph, r, side=side).obstructions) == tuple(want)
+            assert calls == solves
 
 
 def test_product_fibre_of_the_product_germ_is_its_own(ex2_graph):

@@ -55,6 +55,12 @@ def test_bench_pairs_summary_of_canned_runs():
     assert bench.claim(summary, "examples op_p90_ms")["all_workloads"] == {
         "wins": "9/10", "median_gain_ms": 0.1, "parent_iqr_ms": 0.045, "met": True}
     assert not bench.claim(summary, "examples ops_per_s")["all_workloads"]["met"]
+    short =bench.summarize({"examples": {"parent": parent[:9],
+                                          "change": [_result(0.5, 1.0)] * 9}},
+                            {"op_p90_ms": "lower", "ops_per_s": "higher"})
+    assert short["pairs"] == 9
+    nine = bench.claim(short, "examples op_p90_ms")["all_workloads"]
+    assert nine["wins"] == "9/9" and not nine["met"]  # fewer than ten pairs meet nothing
     parent[0]["correct"] = False
     assert not bench.summarize({"examples": {"parent": parent, "change": change}},
                                {"op_p90_ms": "lower", "ops_per_s": "higher"}
