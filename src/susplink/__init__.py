@@ -74,7 +74,6 @@ from .resolve import (
 from .serialize import from_dict, from_json, to_dict, to_dot, to_json
 from .synthesis import (
     blow_down,
-    chain_mults,
     normalize_edge_signs,
     reduce_tree,
     strip_decorations,

@@ -56,8 +56,8 @@ def hj_length(num: int, den: int) -> tuple[int, int]:
 def neg_cf_eval(entries) -> tuple[int, int]:
     """Evaluate [b_1, ..., b_k] exactly, returning a reduced (num, den), den > 0.
 
-    Entries may be arbitrary integers (reversed chains are evaluated during
-    verification); a zero intermediate denominator raises ChainDataError.
+    Entries may be any integers (step 2 reads non-minimal resolutions, whose
+    chain weights may be >= -1); a zero intermediate value raises ChainDataError.
     """
     entries = list(entries)
     if not entries:

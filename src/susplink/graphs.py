@@ -182,9 +182,12 @@ def _is_tree(ids, edges) -> bool:
     if not ids or len(edges) != len(ids) - 1:
         return False
     adj: dict[int, list[int]] = {i: [] for i in ids}
-    for e in edges:
-        adj[e[0]].append(e[1])
-        adj[e[1]].append(e[0])
+    try:
+        for e in edges:
+            adj[e[0]].append(e[1])
+            adj[e[1]].append(e[0])
+    except KeyError:  # an edge ends on an id not in ``ids``
+        return False
     root = next(iter(adj))
     seen, queue = {root}, [root]
     for u in queue:  # read while it grows: first in, first out

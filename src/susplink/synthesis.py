@@ -12,12 +12,12 @@ plus every node weight is then forced by the monodromical balance
     b_v * m_v + sum(neighbour multiplicities) + sum(arrow multiplicities) = 0.
 
 No chain is solved as a system: b_i*x_i = x_(i-1) + x_(i+1) from x_0 = L
-at its node to R past its far end gives x_1 = (q*L + R)/alpha and
-x_k = (L + q'*R)/alpha, [b_1, ..., b_k] = alpha/q and q*q' = 1 mod alpha
-(Neumann 1981; Riemenschneider 1974).  So the node weights and the tree's
-size, which grows with r and is refused past MAX_VERTICES, come first, and
-the balance holds at every vertex once each x_1 and each node weight is
-integral: the tree is not checked again after it is built.
+at its node to R past its far end gives x_1 = (q*L + R)/alpha, never
+singular, and x_k = (L + q'*R)/alpha, [b_1, ..., b_k] = alpha/q and
+q*q' = 1 mod alpha (Neumann 1981; Riemenschneider 1974).  The node weights
+and the tree's size, which grows with r and is refused past MAX_VERTICES,
+come first; a fractional x_1 or node weight raises a BalanceError, else
+the balance holds at every vertex and the tree is not checked again.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .contfrac import hj_length, neg_cf_expand
-from .errors import BalanceError, MonodromyError, NotATreeError, UnsupportedError
+from .errors import BalanceError, NotATreeError, UnsupportedError
 from .exactlinalg import eliminate
 from .graphs import Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, _two_colouring
 
-__all__ = ["MAX_VERTICES", "Chain", "waldhausen_chains", "node_balance", "chain_mults",
+__all__ = ["MAX_VERTICES", "Chain", "waldhausen_chains", "node_balance",
            "synth_plumbing", "blow_down", "normalize_edge_signs", "reduce_tree",
            "strip_decorations"]
 
@@ -41,39 +41,8 @@ MAX_VERTICES = 10**6
 _record = tuple.__new__  # a NamedTuple from all its fields, at half the cost of its __new__
 
 
-def chain_mults(weights, left_mult: int, right_mult: int = 0) -> list[int]:
-    """Exact multiplicities along a chain of ``weights``.
-
-    ``left_mult`` is the multiplicity of the vertex before the first chain
-    vertex and ``right_mult`` what lies past the last one: the multiplicity
-    of a neighbouring vertex, that of a binding arrow, or 0 at a leaf.  Both
-    enter the balance of their end vertex as constants.  Raises BalanceError
-    when the solution is not integral; an empty chain has no multiplicities.
-
-    The balance w_i*m_i + m_(i-1) + m_(i+1) = 0 is a three-term recurrence:
-    with m_0 = ``left_mult`` every m_i is p_i*m_1 + q_i in integers, and
-    m_(k+1) = ``right_mult`` fixes m_1.  p_(k+1) is, up to sign, the
-    determinant of the chain's form, so the system is singular iff it is 0.
-    """
-    if not weights:
-        return []
-    p0, q0, p1, q1 = 0, left_mult, 1, 0
-    for w in weights:
-        p0, q0, p1, q1 = p1, q1, -w * p1 - p0, -w * q1 - q0
-    if p1 == 0:
-        raise MonodromyError("degenerate monodromical system: singular matrix")
-    first, rest = divmod(right_mult - q1, p1)
-    if rest:
-        solution = _chain_values(weights, left_mult, Fraction(right_mult - q1, p1))
-        raise BalanceError(
-            f"monodromical balance failure: chain {list(weights)} with end data "
-            f"({left_mult}, {right_mult}) has non-integral multiplicities {solution}")
-    return _chain_values(weights, left_mult, first)
-
-
 def _chain_values(weights, left_mult, first):
-    """m_1, ..., m_k of the recurrence from m_0 = ``left_mult`` and
-    m_1 = ``first``."""
+    """x_1, ..., x_k from x_0 = ``left_mult`` and x_1 = ``first`` (module docstring)."""
     values = [first]
     prev, cur = left_mult, first
     for w in weights[:-1]:
@@ -121,8 +90,8 @@ def node_balance(w: WaldhausenGraph):
     """Multiplicity signs and multiplicities of the nodes, each chain's first
     multiplicity and the node weights, by the chain ends in closed form
     (module docstring): R is 0 past a stalk, the arrow's multiplicity past a
-    binding arrow and m_v past an edge; a chain is integral iff x_1 is.
-    Kept like ``waldhausen_chains``, unless it raises its BalanceError."""
+    binding arrow and m_v past an edge; a chain is integral iff x_1 is, else
+    its BalanceError names x_1, ..., x_k.  Kept like ``waldhausen_chains``."""
     if "_balance" in w.__dict__:
         return w._balance
     chains = waldhausen_chains(w)
@@ -135,8 +104,12 @@ def node_balance(w: WaldhausenGraph):
         first, last = right, left
         if a > 1:
             first, rest = divmod(q * left + right, a)
-            if rest:  # raises the BalanceError that names the chain
-                chain_mults([-b for b in neg_cf_expand(a, q)], left, right)
+            if rest:
+                chain = [-b for b in neg_cf_expand(a, q)]
+                solution = _chain_values(chain, left, Fraction(q * left + right, a))
+                raise BalanceError(
+                    f"monodromical balance failure: chain {chain} with end data "
+                    f"({left}, {right}) has non-integral multiplicities {solution}")
             last = (left + q_far * right) // a
         terms[node] += first
         if far is not None:

@@ -1,8 +1,10 @@
 """Reference chain solver: build the chain as a path ``PlumbingTree`` and
 solve its balance with the general sparse elimination.
 
-This is the original eliminate-based ``synthesis.chain_mults``, kept as the
-oracle the integer recurrence is compared with.
+This is the original eliminate-based chain solver of step 5, kept as the
+oracle for the chain BalanceError of ``synthesis.node_balance``: its text
+(weights, end data and rational multiplicities) must equal this solver's.
+The acceptance criteria also solve their worked chains with it.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from susplink import graphs
+from susplink.errors import NotATreeError
 from susplink.graphs import (
     Arrow,
     Edge,
@@ -130,14 +131,20 @@ def _outcome(fn, *args):
 
 
 @given(id_edge_lists())
+@example(([1, 2], [(1, 3)]))  # an edge that ends on an unknown id
 def test_tree_test_equals_the_reference(case):
     """One breadth-first walk gives the bool, or raises the error of the same
     type and text, that the two-colouring of ``tree_reference.py`` does, on
-    (u, v) pairs and on ``Edge`` records alike."""
+    (u, v) pairs and on ``Edge`` records alike.  Where the reference raises
+    a bare KeyError (an edge ends on an unknown id), the walk finds no tree
+    and ``check_tree`` raises NotATreeError."""
     ids, pairs = case
     edges = [Edge(u, v) for u, v in pairs]
+    want_tree = _outcome(tree_reference._is_tree, ids, pairs)
+    want = _outcome(tree_reference.check_tree, ids, pairs, "drawn graph")
+    if want is not None and want[0] is KeyError:
+        want_tree = False
+        want = NotATreeError, "not a tree: drawn graph must be connected and acyclic"
     for mine in (pairs, edges):
-        assert (_outcome(graphs._is_tree, tuple(ids), mine)
-                == _outcome(tree_reference._is_tree, ids, pairs))
-        assert (_outcome(graphs.check_tree, tuple(ids), mine, "drawn graph")
-                == _outcome(tree_reference.check_tree, ids, pairs, "drawn graph"))
+        assert _outcome(graphs._is_tree, tuple(ids), mine) == want_tree
+        assert _outcome(graphs.check_tree, tuple(ids), mine, "drawn graph") == want

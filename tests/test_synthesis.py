@@ -1,16 +1,28 @@
+from math import gcd
+
 import pytest
 from hypothesis import example, given, strategies as st
 
 from susplink.errors import BalanceError, NotATreeError, PlumbingError
 from susplink import synthesis
+from susplink.contfrac import neg_cf_expand
 from susplink.exactlinalg import eliminate
-from susplink.graphs import Arrow, Edge, PlumbingTree, Vertex, intersection_matrix
+from susplink.graphs import (
+    Arrow,
+    Edge,
+    PlumbingTree,
+    Vertex,
+    WaldArrow,
+    WaldhausenGraph,
+    WaldStalk,
+    WaldVertex,
+    intersection_matrix,
+)
 from susplink.nielsen import build_nielsen
 from susplink.power import power_nielsen
 from susplink.resolve import subtract_and_normalize
 from susplink.synthesis import (
     blow_down,
-    chain_mults,
     normalize_edge_signs,
     reduce_tree,
     strip_decorations,
@@ -54,63 +66,44 @@ def legs(tree, node):
     return sorted(out)
 
 
-# -- chain solving -----------------------------------------------------------
+# -- chain errors ------------------------------------------------------------
 
-def test_chain_mults_stalk():
-    assert chain_mults([-2], 2) == [1]
-    assert chain_mults([-2], 10) == [5]
-
-
-def test_chain_mults_long_chain():
-    assert chain_mults([-2, -2, -2, -2, -7], 10, right_mult=-2) == [8, 6, 4, 2, 0]
-
-
-def test_chain_mults_arrow_end():
-    assert chain_mults([-5], 9, right_mult=1) == [2]
-
-
-def test_chain_mults_empty_chain():
-    # the trivial pair alpha = 1 plumbs as a chain without vertices
-    assert chain_mults([], 4, right_mult=-1) == []
-
-
-def test_chain_mults_non_integral():
-    with pytest.raises(BalanceError):
-        chain_mults([-2, -2], -8, right_mult=-1)
-
-
-def _chain_outcome(solve, weights, left, right):
+def _balance_text(fn, *args):
+    """The text of the BalanceError ``fn(*args)`` raises, None if it returns."""
     try:
-        return solve(weights, left, right)
-    except PlumbingError as e:
-        return type(e), str(e)
+        fn(*args)
+    except BalanceError as exc:
+        return str(exc)
+    return None
 
 
-@given(st.lists(st.integers(-6, 2), min_size=1, max_size=40),
-       st.integers(-20, 20), st.integers(-20, 20))
-@example([-1, -1], 3, 4)
-@example([0], 0, 0)
-@example([-2, -1, -2], 5, -5)
-def test_chain_mults_matches_reference(weights, left, right):
-    """The recurrence gives the oracle's multiplicities, or the same error
-    with the same message (the rational solution of a BalanceError, the
-    singular form of a MonodromyError)."""
-    assert (_chain_outcome(chain_mults, weights, left, right)
-            == _chain_outcome(chain_reference.chain_mults, weights, left, right))
+reduced_pairs = st.integers(2, 60).flatmap(lambda alpha: st.tuples(
+    st.just(alpha), st.integers(1, alpha - 1).filter(lambda beta: gcd(alpha, beta) == 1)))
 
 
-def test_chain_mults_never_eliminates(monkeypatch):
-    """A chain of 10^4 vertices is solved by its recurrence alone."""
-    calls = []
-
-    def counting(graph, rhs=None):
-        calls.append(len(graph.vertices))
-        return eliminate(graph, rhs)
-
-    monkeypatch.setattr(synthesis, "eliminate", counting)
-    n = 10 ** 4
-    assert chain_mults([-2] * n, n + 1) == list(range(n, 0, -1))
-    assert calls == []
+@given(st.integers(1, 60), st.integers(-9, 9), reduced_pairs,
+       st.sampled_from(["stalk", "arrow", "reversed arrow"]))
+@example(3, -1, (2, 1), "stalk")  # the pinned CLI case of test_derived_views.py
+def test_chain_balance_error_names_the_reference_solution(order, e, pair, leg):
+    """One node with one stalk or binding arrow (alpha, beta): step 5 refuses
+    the chain exactly when the eliminate-based solver does, with its text
+    (weights, end data, rational multiplicities); otherwise at most the node
+    weight is fractional."""
+    alpha, beta = pair
+    node = (WaldVertex(1, e, 0, 1, order),)
+    if leg == "stalk":
+        w, right = WaldhausenGraph(node, stalks=(WaldStalk(1, alpha, beta),)), 0
+    else:
+        reverse = leg == "reversed arrow"
+        w = WaldhausenGraph(node, arrows=(WaldArrow(1, alpha, beta, reverse),))
+        right = -1 if reverse else 1
+    weights = [-b for b in neg_cf_expand(alpha, alpha - beta)]
+    want = _balance_text(chain_reference.chain_mults, weights, order, right)
+    got = _balance_text(synth_plumbing, w)
+    if want is None:
+        assert got is None or got.startswith("monodromical balance failure: node 1 weight")
+    else:
+        assert got == want
 
 
 # -- synthesized trees -------------------------------------------------------
