@@ -19,10 +19,11 @@ import argparse
 import os
 import stat
 import sys
+from dataclasses import fields
+from fractions import Fraction
 from functools import cache
-from math import log10
 
-from .errors import InputError, PlumbingError, UnsupportedError
+from .errors import InputError, PlumbingError, UnsupportedError, digits, int_max_str_digits
 from .graphs import (
     MultPlumbing,
     NielsenGraph,
@@ -72,17 +73,25 @@ def _load(path: str, want, stage: str):
 def _emit(text: str, out: str | None):
     """Write ``text`` to the file ``out``, or to stdout for None or '-'.
 
-    A file is rewritten in place and then cut to the new length, not
-    truncated before the write: on ext4, closing a file that was truncated
-    from a nonzero size starts its writeback at once.  Only a regular file
-    is cut, since ``/dev/null`` or a pipe cannot be.
+    A file gets exactly the UTF-8 bytes of ``text``, written with
+    ``os.write`` on its descriptor until all are written, with no text
+    layer and no newline translation.  It is rewritten in place and then
+    cut to the new length, not truncated before the write: on ext4,
+    closing a file that was truncated from a nonzero size starts its
+    writeback at once.  Only a regular file is cut, since ``/dev/null`` or
+    a pipe cannot be.
     """
     if out and out != "-":
+        data = text.encode("utf-8")
         fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            left = memoryview(data)
+            while left:  # a pipe may take part of it at a time
+                left = left[os.write(fd, left):]
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                handle.truncate()
+                os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     else:
         sys.stdout.write(text)
 
@@ -152,14 +161,13 @@ def _shown_tree(tree: PlumbingTree, args) -> PlumbingTree:
 def _check_digits(numbers: dict) -> None:
     """UnsupportedError naming the first of ``numbers`` (name -> an int, a
     Fraction, None or a tuple of those) too long for Python to print."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0, or before 3.10.7: no limit
+    limit = int_max_str_digits()
     for name, value in numbers.items():
         values = value if type(value) is tuple else (value or 0,)
-        big = max((abs(p) for x in values for p in (x.numerator, x.denominator)), default=0)
-        digits = int(big.bit_length() * log10(2))
-        digits += 10 ** digits <= big  # the estimate is the digit count or one less
-        if limit and digits > limit:
-            raise UnsupportedError(f"{name}: an integer of {digits} digits, more than "
+        count = digits(max((abs(p) for x in values for p in (x.numerator, x.denominator)),
+                           default=0))
+        if limit and count > limit:
+            raise UnsupportedError(f"{name}: an integer of {count} digits, more than "
                                    f"the {limit} that Python converts to text")
 
 
@@ -191,9 +199,16 @@ def _cmd_stage(args) -> str:
     result = _stage(args.command)(run, _load(args.input, want, args.command), args)
     if args.command == "invariants":
         return _invariants_output(result, args.format)
-    if args.format == "dot":
-        return to_dot(result)
-    return render_graph_text(result) if args.format == "text" else to_json(result) + "\n"
+    try:
+        if args.format == "dot":
+            return to_dot(result)
+        return render_graph_text(result) if args.format == "text" else to_json(result) + "\n"
+    except ValueError:  # a number too long to print, named here
+        _check_digits({f"field {name!r} in {f.name}[{i}]": value
+                       for f in fields(result) for i, x in enumerate(getattr(result, f.name))
+                       for name, value in x._asdict().items()
+                       if type(value) in (int, Fraction)})
+        raise
 
 
 def _run_one_pipeline(path: str, args) -> str:

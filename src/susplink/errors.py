@@ -9,6 +9,8 @@ nonzero.
 from __future__ import annotations
 
 import reprlib
+import sys
+from math import log10
 
 
 class PlumbingError(Exception):
@@ -25,11 +27,39 @@ class PlumbingError(Exception):
         return base
 
 
+def digits(n: int) -> int:
+    """The number of decimal digits of ``n``, counted from its bit length
+    without converting it to text."""
+    n = abs(n)
+    count = int(n.bit_length() * log10(2))
+    return count + (10 ** count <= n)  # the estimate is the digit count or one less
+
+
+def int_max_str_digits() -> int:
+    """The most digits Python converts to text, 0 for no limit (as before 3.10.7)."""
+    return getattr(sys, "get_int_max_str_digits", int)()
+
+
+class _Excerpt(reprlib.Repr):
+    """``reprlib.repr``, but an int too long to convert to text is written
+    as its digit count."""
+
+    def repr_int(self, x, level):
+        limit, count = int_max_str_digits(), digits(x)
+        if limit and count > limit:
+            return f"<{'a negative' if x < 0 else 'an'} integer of {count} digits>"
+        return super().repr_int(x, level)
+
+
 def excerpt(value) -> str:
     """The repr of ``value`` cut to its first 40 characters, for an error
-    message that quotes input without growing with it."""
-    text = repr(value) if isinstance(value, str) else reprlib.repr(value)
+    message that quotes input without growing with it; an int too long
+    to convert to text is written as its digit count."""
+    text = repr(value) if isinstance(value, str) else _EXCERPT.repr(value)
     return text if len(text) <= 40 else text[:40] + "..."
+
+
+_EXCERPT = _Excerpt()
 
 
 class InputError(PlumbingError):

@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from . import synthesis
-from .errors import InputError, UnsupportedError
+from .errors import InputError, UnsupportedError, excerpt
 from .graphs import (
     BoundaryStalk,
     NielsenEdge,
@@ -74,8 +74,8 @@ def power_nielsen(n: NielsenGraph, r: int) -> NielsenGraph:
             ("boundary_stalks", sum(gcd(order[b.vertex] // b.lam, r) for b in n.boundary_stalks)),
             ("edges", sum(gcd(order[e.u] // e.lam_u, r) for e in n.edges))):
         if size > synthesis.MAX_VERTICES:
-            raise UnsupportedError(f"the Nielsen graph of the power would have {size} {name}, "
-                                   f"more than the {synthesis.MAX_VERTICES} supported")
+            raise UnsupportedError(f"the Nielsen graph of the power would have {excerpt(size)} "
+                                   f"{name}, more than the {synthesis.MAX_VERTICES} supported")
     next_id = max(order, default=0) + 1
     copies_of: dict[int, list[int]] = {}
     for vid, c in orbits.items():

@@ -12,10 +12,16 @@ and writes a graph it meets through ``to_json``.  On ex3's r = 5 run,
 ``to_json`` of the plumbing document takes 19 us against 86 us for
 ``dumps(to_dict(...))``, and the report 110 us against 265 us through
 ``dumps`` and 500 us through ``json.dumps`` (best of 5 x 2000 calls, Python
-3.11.7, 2 cores).  DOT output renders stalks, boundary-stalks and binding
-arrows as small pseudo nodes, and prints valency classes both canonically
-and with the smallest symmetric representative so figures can be matched
-by eye.
+3.11.7, 2 cores).  ``from_dict`` reads each list of records by one reader
+per record type, generated from its fields the first time it is read
+(``_reader``): one ``get`` and one inline type test per field, each error
+raised where the per-field loop it replaced raised it.  ``from_dict`` of
+ex1's r = 3 plumbing document takes 26 us against 34 us with that loop,
+and of cusp's r = 101 one, arrows kept, 44 us against 57 us (best of 7 x
+3 x 1000 calls, same host).  DOT output renders stalks, boundary-stalks
+and binding arrows as small pseudo nodes, and prints valency classes both
+canonically and with the smallest symmetric representative so figures can
+be matched by eye.
 """
 
 from __future__ import annotations
@@ -270,11 +276,62 @@ def _fraction(value) -> Fraction | None:
         return None
 
 
+def _field_value(item: dict, name: str, value, kind, key: str, i: int):
+    """Field ``name`` of ``item``, element ``i`` of list ``key``, whose
+    value ``value`` (its read default when the field is left out) is not of
+    a JSON type read as it is: the read default's value for ``item``, or
+    the Fraction it writes.  InputError when the field is missing or holds
+    a value of another type."""
+    if value is _MISSING:
+        raise InputError(f"missing field {name!r} in {key}[{i}]")
+    if callable(value):
+        return value(item)
+    if kind is not Fraction:
+        raise InputError(f"field {name!r} must be "
+                         f"{getattr(kind, '__name__', kind)} in {key}[{i}]")
+    if (value := _fraction(value)) is None:
+        raise InputError(f"field {name!r} must be a fraction n or n/d in {key}[{i}]")
+    return value
+
+
+@cache
+def _reader(cls):
+    """The ``cls`` elements of a list of JSON objects, generated from
+    ``_spec(cls)`` as ``_writer`` is from the fields: per field one ``get``
+    and one inline test of its JSON types, a value that fails it through
+    ``_field_value``, and each element built by ``tuple.__new__``."""
+    body, namespace = [], {"_cls": cls, "_names": frozenset(cls._fields), "_new": tuple.__new__,
+                           "_type": type, "_int": int, "_bool": bool, "_str": str,
+                           "_field_value": _field_value, "_unknown": _unknown}
+    for j, (name, default, kind, types) in enumerate(_spec(cls)):
+        namespace[f"_d{j}"], namespace[f"_k{j}"] = default, kind
+        fix = f"{name} = _field_value(_item, {name!r}, {name}, _k{j}, _key, _i)"
+        test = " and ".join(f"{name} is not None" if t is type(None) else
+                            f"_type({name}) is not _{t.__name__}" for t in types)
+        body += [f"{name} = _get({name!r}, _d{j})", f"if {test}: {fix}" if test else fix]
+    source = ("def read(_items, _key):\n"
+              "    _out = []\n"
+              "    for _i, _item in enumerate(_items):\n"
+              "        if not _item.keys() <= _names: _unknown(_item, _names, _key, _i)\n"
+              "        _get = _item.get\n"
+              + "".join(f"        {line}\n" for line in body)
+              + f"        _out.append(_new(_cls, ({', '.join(cls._fields)},)))\n"
+              "    return tuple(_out)")
+    exec(source, namespace)
+    return namespace["read"]
+
+
+def _unknown(item: dict, names: frozenset, key: str, i: int):
+    """InputError on the first key of ``item`` that is not in ``names``."""
+    unknown = next(name for name in item if name not in names)
+    raise InputError(f"unknown field {excerpt(unknown)} in {key}[{i}]")
+
+
 def _list(data: dict, key: str, cls, required: bool) -> tuple:
     """List ``key`` of ``data``: [u, v] pairs when ``cls`` is None, else
-    ``cls`` elements from JSON objects keyed by its fields.  InputError on
-    a key that is not a field, and when a field without default is missing
-    or holds a value of another type."""
+    ``cls`` elements from JSON objects keyed by its fields, read by
+    ``_reader(cls)``.  InputError on a key that is not a field, and when a
+    field without default is missing or holds a value of another type."""
     items = data.get(key, None if required else [])
     if cls is None:
         if not isinstance(items, list) or not all(
@@ -284,29 +341,7 @@ def _list(data: dict, key: str, cls, required: bool) -> tuple:
         return tuple((u, v) for u, v in items)
     if not isinstance(items, list) or not all(isinstance(x, dict) for x in items):
         raise InputError(f"field {key!r} must be a list of objects")
-    spec = _spec(cls)
-    names = frozenset(cls._fields)
-    elements = []
-    for i, item in enumerate(items):
-        if not item.keys() <= names:
-            unknown = next(name for name in item if name not in names)
-            raise InputError(f"unknown field {excerpt(unknown)} in {key}[{i}]")
-        values = []
-        for name, default, kind, types in spec:
-            value = item.get(name, default)
-            if type(value) not in types:
-                if value is _MISSING:
-                    raise InputError(f"missing field {name!r} in {key}[{i}]")
-                if callable(value):
-                    value = value(item)
-                elif kind is not Fraction:
-                    raise InputError(f"field {name!r} must be "
-                                     f"{getattr(kind, '__name__', kind)} in {key}[{i}]")
-                elif (value := _fraction(value)) is None:
-                    raise InputError(f"field {name!r} must be a fraction n or n/d in {key}[{i}]")
-            values.append(value)
-        elements.append(cls(*values))
-    return tuple(elements)
+    return _reader(cls)(items, key)
 
 
 def from_dict(data: dict):

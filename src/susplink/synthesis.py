@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .contfrac import hj_length, neg_cf_expand
-from .errors import BalanceError, NotATreeError, UnsupportedError
+from .errors import BalanceError, NotATreeError, UnsupportedError, excerpt
 from .exactlinalg import eliminate
 from .graphs import Arrow, Edge, PlumbingTree, Vertex, WaldhausenGraph, _two_colouring
 
@@ -139,7 +139,7 @@ def synth_plumbing(w: WaldhausenGraph) -> PlumbingTree:
     chains = waldhausen_chains(w)
     size = len(w.vertices) + sum(c.k for c in chains)
     if size > MAX_VERTICES:
-        raise UnsupportedError(f"the plumbing tree would have {size} vertices, "
+        raise UnsupportedError(f"the plumbing tree would have {excerpt(size)} vertices, "
                                f"more than the {MAX_VERTICES} supported")
     colors, mult, firsts, weights = node_balance(w)
     vertices = [Vertex(v.id, weights[v.id], v.genus, mult[v.id], colors[v.id] < 0,

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from susplink import cli
 from susplink.cli import build_parser, main
+from susplink.errors import digits, excerpt, int_max_str_digits
 from susplink.graphs import BoundaryStalk, NielsenEdge, NielsenGraph, NielsenVertex, Stalk
 from susplink.nielsen import build_nielsen
 from susplink.pipeline import run_pipeline
@@ -630,14 +631,20 @@ def test_seifert_pair_errors_name_the_piece(tmp_path, capsys, n, message):
     assert (code, out, err) == (1, "", f"error [waldhausen] {message}\n")
 
 
+def _limit_below(count: int) -> int:
+    """The interpreter's int-to-text digit limit; skip unless it is below ``count``."""
+    limit = int_max_str_digits()
+    if not 0 < limit < count:
+        pytest.skip(f"this interpreter converts {limit or 'any number of'} digits")
+    return limit
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_invariants_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsys, fmt):
     """A 100-vertex path of weight -10^50 has a determinant of 5000 digits,
     more than Python converts to text (4300 by default): an error naming
     the digit count, exit 1 and no output file, not a ValueError."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if not 0 < limit < 5000:
-        pytest.skip(f"this interpreter converts {limit or 'any number of'} digits")
+    limit = _limit_below(5000)
     path, out_path = tmp_path / "path.json", tmp_path / "out.txt"
     path.write_text(json.dumps({
         "schema": "susplink/plumbing:1",
@@ -656,9 +663,7 @@ def test_report_numbers_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsy
     """A genus of 10^4000 gives K^2 of 8001 digits: ``pipeline`` names it
     before any format is rendered, exit 1 and no output file, not a
     ValueError."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if not 0 < limit < 8001:
-        pytest.skip(f"this interpreter converts {limit or 'any number of'} digits")
+    limit = _limit_below(8001)
     path, out_path = tmp_path / "big_genus.txt", tmp_path / "out.txt"
     path.write_text(f"vertex 1 weight=-1 genus={10**4000}\narrow 1 side=f\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "pipeline", str(path), "-r", "2", "--format", fmt,
@@ -667,6 +672,99 @@ def test_report_numbers_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsy
     assert err == (f"error [pipeline] K_squared: an integer of 8001 digits, more than "
                    f"the {limit} that Python converts to text\n")
     assert not out_path.exists()
+
+
+TOO_LONG = int("9" * 4300)  # prints; twice it, or r = it times a twist, does not
+
+
+def test_a_tree_size_too_long_to_print_is_refused_by_its_digit_count(capsys):
+    """ex2 at r = 10^4300 - 1 would expand to a tree whose vertex count
+    has 4301 digits: the refusal quotes the count by its digit count, not
+    a ValueError."""
+    _limit_below(4301)
+    code, out, err = run_cli(capsys, "pipeline", str(DATA / "ex2.txt"), "-r", str(TOO_LONG))
+    assert (code, out) == (1, "")
+    assert err == ("error [plumbing] the plumbing tree would have <an integer of 4301 digits> "
+                   "vertices, more than the 1000000 supported\n")
+
+
+def test_a_power_size_too_long_to_print_is_refused_by_its_digit_count(tmp_path, capsys):
+    """Two pieces of order 10^4300 - 1, each with a (1, 0) stalk, have
+    2 * (10^4300 - 1) components at that r, a count of 4301 digits."""
+    _limit_below(4301)
+    path = tmp_path / "big_nielsen.json"
+    path.write_text(json.dumps({
+        "schema": "susplink/nielsen:1",
+        "vertices": [{"id": 1, "order": TOO_LONG}, {"id": 2, "order": TOO_LONG}],
+        "stalks": [{"vertex": 1, "lam": 1, "sigma": 0}, {"vertex": 2, "lam": 1, "sigma": 0}]}),
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, "power", str(path), "-r", str(TOO_LONG))
+    assert (code, out) == (1, "")
+    assert err == ("error [power] the Nielsen graph of the power would have "
+                   "<an integer of 4301 digits> vertices, more than the 1000000 supported\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_a_stage_document_number_too_long_to_print_is_an_error(tmp_path, capsys, fmt):
+    """ex1's power at r = 10^4300 - 1 has a twist r * t of 4302 digits:
+    ``power`` names the field, exit 1 and no output file, in every format."""
+    limit = _limit_below(4302)
+    mp, n, out_path = tmp_path / "mp.json", tmp_path / "n.json", tmp_path / "out.json"
+    assert run_cli(capsys, "step1", str(DATA / "ex1.txt"), "-o", str(mp))[0] == 0
+    assert run_cli(capsys, "nielsen", str(mp), "-o", str(n))[0] == 0
+    code, out, err = run_cli(capsys, "power", str(n), "-r", str(TOO_LONG), "--format", fmt,
+                             "-o", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == (f"error [power] field 'twist' in edges[0]: an integer of 4302 digits, "
+                   f"more than the {limit} that Python converts to text\n")
+    assert not out_path.exists()
+
+
+@given(st.integers(-10**200, 10**200) | st.sampled_from([10**k for k in range(60)]))
+def test_digits_is_the_length_of_the_decimal_text(n):
+    assert digits(n) == (len(str(abs(n))) if n else 0)
+
+
+def test_excerpt_writes_an_int_too_long_to_print_as_its_digit_count():
+    """Every int that prints is quoted as before, the first 40 characters
+    of its repr; one that does not, alone or in a list, by its digits."""
+    _limit_below(4301)
+    assert [excerpt(n) for n in (166666675, -7, 10**39, True)] == ["166666675", "-7",
+                                                                  str(10**39), "True"]
+    assert excerpt(10**45) == "100000000000000000...0000000000000000000"
+    assert excerpt(TOO_LONG) == "9" * 18 + "..." + "9" * 19
+    assert excerpt(2 * TOO_LONG) == "<an integer of 4301 digits>"
+    assert excerpt(-10**5000) == "<a negative integer of 5001 digits>"
+    assert excerpt([1, 10**5000]) == "[1, <an integer of 5001 digits>]"
+
+
+def test_emit_writes_exactly_the_utf8_bytes_of_the_text(tmp_path):
+    """A file gets the UTF-8 bytes of the text, none of a longer earlier
+    content, and no newline translation; a device takes the text too."""
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"x" * 5000)
+    text = "K = (\u22121/2, 7/3)\norigin = \u00e9t\u00e9 \U0001d53b\r\n\n"
+    cli._emit(text, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+    cli._emit(text, os.devnull)
+    assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_emit_writes_all_of_the_text_through_partial_writes(tmp_path, monkeypatch):
+    """``os.write`` may take part of the bytes, as a pipe does: the rest is
+    written after it."""
+    write, calls = os.write, []
+
+    def write_seven(fd, data):
+        calls.append(len(data))
+        return write(fd, data[:7])
+
+    monkeypatch.setattr(os, "write", write_seven)
+    path = tmp_path / "out.txt"
+    text = "\u00e9" * 20 + "\n"
+    cli._emit(text, str(path))
+    assert path.read_bytes() == text.encode("utf-8")
+    assert calls == list(range(41, 0, -7))
 
 
 def test_every_json_output_is_the_standard_indent_2_text(tmp_path, capsys):
