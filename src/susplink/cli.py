@@ -171,14 +171,31 @@ def _check_digits(numbers: dict) -> None:
                                    f"the {limit} that Python converts to text")
 
 
+def _tree_output(tree, fmt: str) -> str:
+    """``tree`` in ``fmt``; a number too long to print is named by its field."""
+    try:
+        if fmt == "dot":
+            return to_dot(tree)
+        return render_graph_text(tree) if fmt == "text" else to_json(tree) + "\n"
+    except ValueError:  # a number too long to print, named here
+        _check_digits({f"field {name!r} in {f.name}[{i}]": value
+                       for f in fields(tree) for i, x in enumerate(getattr(tree, f.name))
+                       for name, value in x._asdict().items()
+                       if type(value) in (int, Fraction)})
+        raise
+
+
 def _invariants_output(form: dict, fmt: str) -> str:
-    _check_digits({name: form[name] for name in ("determinant", "K_squared", "K")})
-    K = [*map(str, form["K"])]
-    data = {**form, "K": K, "K_squared": str(form["K_squared"])}
-    if fmt == "json":
-        return dumps({"schema": "susplink/invariants:1", **data}) + "\n"
-    data["K"] = "(" + ", ".join(K) + ")"
-    return "".join(f"{key} = {value}\n" for key, value in data.items())
+    try:
+        K = [*map(str, form["K"])]
+        data = {**form, "K": K, "K_squared": str(form["K_squared"])}
+        if fmt == "json":
+            return dumps({"schema": "susplink/invariants:1", **data}) + "\n"
+        data["K"] = "(" + ", ".join(K) + ")"
+        return "".join(f"{key} = {value}\n" for key, value in data.items())
+    except ValueError:  # a number too long to print, named here
+        _check_digits({name: form[name] for name in ("determinant", "K_squared", "K")})
+        raise
 
 
 # Stage subcommand -> (input document type, its stage on (input, args)).
@@ -199,28 +216,22 @@ def _cmd_stage(args) -> str:
     result = _stage(args.command)(run, _load(args.input, want, args.command), args)
     if args.command == "invariants":
         return _invariants_output(result, args.format)
-    try:
-        if args.format == "dot":
-            return to_dot(result)
-        return render_graph_text(result) if args.format == "text" else to_json(result) + "\n"
-    except ValueError:  # a number too long to print, named here
-        _check_digits({f"field {name!r} in {f.name}[{i}]": value
-                       for f in fields(result) for i, x in enumerate(getattr(result, f.name))
-                       for name, value in x._asdict().items()
-                       if type(value) in (int, Fraction)})
-        raise
+    return _tree_output(result, args.format)
 
 
 def _run_one_pipeline(path: str, args) -> str:
     graph = _load(path, ResolutionGraph, "parse")
     result = run_pipeline(graph, args.r, side=args.side,
                           keep_arrows=args.keep_arrows, reduce=args.blow_down)
-    _check_digits(result.obstructions._asdict())
-    if args.format == "json":
-        return render_json(result) + "\n"
     if args.format == "dot":
-        return to_dot(result.blowdown or result.plumbing)
-    return render_text(result)
+        return _tree_output(result.blowdown or result.plumbing, "dot")
+    try:
+        if args.format == "json":
+            return render_json(result) + "\n"
+        return render_text(result)
+    except ValueError:  # a number too long to print, named here
+        _check_digits(result.obstructions._asdict())
+        raise
 
 
 def _cmd_pipeline(args) -> str:

@@ -10,8 +10,8 @@ are solved (or verified, when the file already carries the decorations), the
 signed sum m = c_f m^f + c_g m^g is formed (m^f - m^g for the mixed germ),
 fibredness is tested at the nodes, and negative multiplicities are turned
 positive while recording a -1 edge sign wherever a flipped region meets an
-unflipped one.  A mixed run also keeps |m^f + m^g|, the multiplicities of
-the holomorphic product germ, whose fibre is read off the same tree.
+unflipped one, all in ``multiplicity_trees``, which on a mixed run also
+keeps |m^f + m^g|, the multiplicities of the holomorphic product germ.
 """
 
 from __future__ import annotations
@@ -144,23 +144,11 @@ def solve_monodromical(graph: ResolutionGraph, side: str) -> list[int]:
 
 def multiplicity_trees(graph: ResolutionGraph, side: str
                        ) -> tuple[MultPlumbing, list[int] | None]:
-    """``subtract_and_normalize(graph, side)`` and, for a mixed run on a
-    graph with arrows, the multiplicities |m^f + m^g| of the holomorphic
-    product germ in vertex order (else None), from one solve of each side.
-
-    The product germ needs no tree of its own: its tree is the graph's with
-    the same arrows, each at |mult| = 1, so ``invariants.fibre_euler(mp, m)``
-    reads its fibre off ``mp`` (``product_multiplicity_tree`` builds it).
-    """
-    mp, solutions = _fibred_tree(graph, side)
-    if side != "fg" or not graph.arrows:
-        return mp, None
-    return mp, [abs(f + g) for f, g in zip(solutions["f"], solutions["g"])]
-
-
-def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlumbing:
-    """Form |m| for m = sum of c_s m^s over the sides (``SIDE_COEFFS``),
-    with flip flags and -1 boundary edge signs.
+    """The tree of |m| for m = sum of c_s m^s over the sides
+    (``SIDE_COEFFS``), with flip flags and -1 boundary edge signs, and, for
+    a mixed run on a graph with arrows, the multiplicities |m^f + m^g| of
+    the holomorphic product germ in vertex order (else None), from one
+    solve of each side with c_s != 0.
 
     Vertices with m = 0 are assigned to the unflipped side, so the -1 signs
     land on the edges where a zero chain meets the flipped region; any single
@@ -169,18 +157,16 @@ def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlum
 
     A single side ("f" or "g") keeps only that side's branches, positively
     oriented: the classical holomorphic suspension used as an oracle.
+
+    The product germ needs no tree of its own: its tree is the graph's with
+    the same arrows, each at |mult| = 1, so ``invariants.fibre_euler(mp, m)``
+    reads its fibre off ``mp`` (``product_multiplicity_tree`` builds it).
     """
-    return _fibred_tree(graph, side)[0]
-
-
-def _fibred_tree(graph: ResolutionGraph, side: str
-                 ) -> tuple[MultPlumbing, dict[str, list[int]]]:
-    """The tree of ``subtract_and_normalize`` and the solution of each side
-    it solved."""
     if side not in SIDE_COEFFS:
         raise InputError(f"side must be one of {tuple(SIDE_COEFFS)}, got {side!r}")
-    solutions = _solve_sides(graph, SIDE_COEFFS[side])
-    mp = _combined_tree(graph, SIDE_COEFFS[side], solutions)
+    coeffs = SIDE_COEFFS[side]
+    solutions = {s: solve_monodromical(graph, s) for s, c in coeffs.items() if c}
+    mp = _combined_tree(graph, coeffs, solutions)
     nodes = set(mp.node_ids)
     violators = tuple(v.id for v in mp.vertices if v.id in nodes and v.m == 0)
     if violators:
@@ -188,7 +174,14 @@ def _fibred_tree(graph: ResolutionGraph, side: str
         raise FibrednessError(
             f"link is not fibred: node multiplicities {vanishing}",
             elements=violators)
-    return mp, solutions
+    if side != "fg" or not graph.arrows:
+        return mp, None
+    return mp, [abs(f + g) for f, g in zip(solutions["f"], solutions["g"])]
+
+
+def subtract_and_normalize(graph: ResolutionGraph, side: str = "fg") -> MultPlumbing:
+    """The tree of ``multiplicity_trees(graph, side)``."""
+    return multiplicity_trees(graph, side)[0]
 
 
 def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
@@ -198,22 +191,17 @@ def product_multiplicity_tree(graph: ResolutionGraph) -> MultPlumbing:
     genus-1 versus genus-5 contrast; a run reads that fibre from
     ``multiplicity_trees``'s multiplicities without building this tree.
     """
-    return _combined_tree(graph, PRODUCT_COEFFS, _solve_sides(graph, PRODUCT_COEFFS))
-
-
-def _solve_sides(graph: ResolutionGraph, coeffs: dict[str, int]) -> dict[str, list[int]]:
-    """m^s for each side s with a nonzero coefficient, solved once."""
-    return {side: solve_monodromical(graph, side) for side, c in coeffs.items() if c}
+    solutions = {s: solve_monodromical(graph, s) for s in PRODUCT_COEFFS}
+    return _combined_tree(graph, PRODUCT_COEFFS, solutions)
 
 
 def _combined_tree(graph: ResolutionGraph, coeffs: dict[str, int],
                    solutions: dict[str, list[int]]) -> MultPlumbing:
-    """Normalize the sum of c_s m^s, with each m^s read from ``solutions``."""
+    """Normalize the sum of c_s m^s over the sides solved in ``solutions``."""
     signed = dict.fromkeys(graph.ids, 0)
-    for side, c in coeffs.items():
-        if c:
-            for i, m in zip(graph.ids, solutions[side]):
-                signed[i] += c * m
+    for side, solution in solutions.items():
+        for i, m in zip(graph.ids, solution):
+            signed[i] += coeffs[side] * m
     return normalize_signed(graph, signed, coeffs)
 
 

@@ -661,7 +661,7 @@ def test_invariants_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsys, f
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_report_numbers_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsys, fmt):
     """A genus of 10^4000 gives K^2 of 8001 digits: ``pipeline`` names it
-    before any format is rendered, exit 1 and no output file, not a
+    when the report cannot be printed, exit 1 and no output file, not a
     ValueError."""
     limit = _limit_below(8001)
     path, out_path = tmp_path / "big_genus.txt", tmp_path / "out.txt"
@@ -671,6 +671,37 @@ def test_report_numbers_beyond_the_int_to_str_limit_are_an_error(tmp_path, capsy
     assert (code, out) == (1, "")
     assert err == (f"error [pipeline] K_squared: an integer of 8001 digits, more than "
                    f"the {limit} that Python converts to text\n")
+    assert not out_path.exists()
+
+
+def test_report_numbers_too_long_to_print_do_not_stop_dot(tmp_path, capsys):
+    """DOT prints no K^2: ``pipeline --format dot`` on the genus-10^4000
+    input prints the tree, byte for byte the DOT of step1 -> nielsen ->
+    power -r 2 -> waldhausen -> plumbing."""
+    _limit_below(8001)
+    path = tmp_path / "big_genus.txt"
+    path.write_text(f"vertex 1 weight=-1 genus={10**4000}\narrow 1 side=f\n", encoding="utf-8")
+    mp, n, n2, w = (str(tmp_path / f"{name}.json") for name in ("mp", "n", "n2", "w"))
+    for argv in (["step1", str(path), "-o", mp], ["nielsen", mp, "-o", n],
+                 ["power", n, "-r", "2", "-o", n2], ["waldhausen", n2, "-o", w]):
+        assert main(argv) == 0
+    code, dot, err = run_cli(capsys, "plumbing", w, "--format", "dot")
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "pipeline", str(path), "-r", "2", "--format", "dot") == (0, dot, "")
+
+
+def test_a_dot_tree_field_too_long_to_print_is_named(tmp_path, capsys):
+    """A genus of 9 * 10^4299 with two f arrows at r = 2 has a plumbing
+    genus of 4301 digits: ``pipeline --format dot`` names that field."""
+    limit = _limit_below(4301)
+    path, out_path = tmp_path / "g.txt", tmp_path / "out.dot"
+    path.write_text(f"vertex 1 weight=-1 genus={9 * 10**4299}\narrow 1 side=f\narrow 1 side=f\n",
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "pipeline", str(path), "-r", "2", "--format", "dot",
+                             "-o", str(out_path))
+    assert (code, out) == (1, "")
+    assert err == (f"error [pipeline] field 'genus' in vertices[0]: an integer of 4301 digits, "
+                   f"more than the {limit} that Python converts to text\n")
     assert not out_path.exists()
 
 

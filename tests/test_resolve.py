@@ -7,6 +7,7 @@ from susplink.errors import (FibrednessError, InputError, MonodromyError, NotATr
 from susplink.graphs import ResolutionGraph, ResVertex
 from susplink.resolve import (
     SIDE_COEFFS,
+    multiplicity_trees,
     normalize_signed,
     parse_resolution,
     product_multiplicity_tree,
@@ -146,11 +147,11 @@ def test_parse_fuzz_ends_in_graph_or_plumbing_error(lines, sep):
     assert _outcome(parse_resolution, text) == _outcome(parser_reference.parse_resolution, text)
 
 
-def _outcome(parse, text):
-    """The graph ``parse`` reads from ``text``, or the type, text and
-    elements of the PlumbingError it raises."""
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type, text and elements of the
+    PlumbingError it raises."""
     try:
-        return parse(text)
+        return fn(*args)
     except PlumbingError as exc:
         return type(exc), str(exc), exc.elements
 
@@ -226,13 +227,17 @@ def test_degenerate_system():
         solve_monodromical(graph, "f")
 
 
+# Same branch on both sides: the node difference m^f - m^g vanishes.
+SQUARE = "vertex 1 weight=-1\nvertex 2 weight=-2\nedge 1 2\narrow 1 side=f\narrow 1 side=g\n"
+# The (2, 3, 7) star with one f arrow at the node: m^g vanishes everywhere.
+STAR = ("vertex 1 weight=-1\nvertex 2 weight=-2\nvertex 3 weight=-3\nvertex 4 weight=-7\n"
+        "edge 1 2\nedge 1 3\nedge 1 4\narrow 1 side=f\n")
+
+
 def test_check_fibred(ex1_graph, ex2_graph):
     subtract_and_normalize(ex1_graph)
     subtract_and_normalize(ex2_graph)
-    # same branch on both sides: node difference vanishes
-    square = parse_resolution(
-        "vertex 1 weight=-1\nvertex 2 weight=-2\nedge 1 2\n"
-        "arrow 1 side=f\narrow 1 side=g\n")
+    square = parse_resolution(SQUARE)
     with pytest.raises(FibrednessError) as info:
         subtract_and_normalize(square)
     assert str(info.value) == "link is not fibred: node multiplicities m^f = m^g (elements: 1)"
@@ -244,9 +249,7 @@ def test_check_fibred(ex1_graph, ex2_graph):
 def test_one_sided_fibredness_names_the_side():
     """On the (2, 3, 7) star with one f arrow at the node, m^g vanishes
     everywhere: the g side is not fibred, and its message names m^g alone."""
-    star = parse_resolution(
-        "vertex 1 weight=-1\nvertex 2 weight=-2\nvertex 3 weight=-3\nvertex 4 weight=-7\n"
-        "edge 1 2\nedge 1 3\nedge 1 4\narrow 1 side=f\n")
+    star = parse_resolution(STAR)
     with pytest.raises(FibrednessError) as info:
         subtract_and_normalize(star, "g")
     assert str(info.value) == "link is not fibred: node multiplicities m^g = 0 (elements: 1)"
@@ -258,6 +261,28 @@ def test_one_sided_fibredness_names_the_side():
 def test_unknown_side_names_the_sides(ex1_graph):
     with pytest.raises(InputError, match=r"side must be one of \('fg', 'f', 'g'\), got 'x'"):
         subtract_and_normalize(ex1_graph, "x")
+
+
+@pytest.mark.parametrize("text, side", [
+    *[pytest.param(read_input(f"{name}.txt"), side, id=f"{name}-{side}")
+      for name in ("ex1", "ex2", "ex3", "cusp") for side in ("fg", "f", "g")
+      if (name, side) != ("cusp", "g")],
+    pytest.param(read_input("ex1.txt"), "x", id="unknown_side"),
+    pytest.param(SQUARE, "fg", id="square_not_fibred"),
+    pytest.param(STAR, "g", id="star_not_fibred"),
+    *[pytest.param(text, "fg", id=f"inconsistent_{i}") for i, (text, _, _) in
+      enumerate(STEP1_ERRORS)],
+])
+def test_step1_entry_points_agree(text, side):
+    """``subtract_and_normalize`` is the tree of ``multiplicity_trees``, or
+    the same error; the product multiplicities of a mixed run are those of
+    ``product_multiplicity_tree``."""
+    graph = parse_resolution(text)
+    trees = _outcome(multiplicity_trees, graph, side)
+    failed = isinstance(trees[0], type)
+    assert _outcome(subtract_and_normalize, graph, side) == (trees if failed else trees[0])
+    if not failed and trees[1] is not None:
+        assert trees[1] == [v.m for v in product_multiplicity_tree(graph).vertices]
 
 
 def test_subtract_and_normalize_ex1(ex1_graph):
